@@ -30,22 +30,22 @@ echo "==> overlap bench smoke (release): serial vs parallel vs overlapped"
 # and emits BENCH_overlap.json with the per-schedule walls.
 cargo run --release --locked -p grape6-bench --bin overlap_bench -- 96 16 2
 
-echo "==> SIMD dispatch fallback: kernel A/B + bitwise suite with lanes forced off"
+echo "==> SIMD dispatch off: kernel A/B + bitwise suite on the portable lanes"
 # GRAPE6_FORCE_SCALAR=1 disables runtime SIMD dispatch, so KernelMode::Simd
-# drops to the batched scalar path.  The whole bitwise matrix and a kernel
-# A/B pass must still hold — same bits, no panics — proving the fallback
-# is a first-class citizen, not dead code.  Runs *before* the real kernel
-# matrix so the final BENCH_kernel.json reflects the SIMD-enabled machine.
+# runs the portable lane instance — what a host without AVX2 gets.  The
+# whole bitwise matrix and a kernel A/B pass must still hold — same bits,
+# no panics.  Runs *before* the real kernel matrix so the final
+# BENCH_kernel.json reflects the SIMD-enabled machine.
 GRAPE6_FORCE_SCALAR=1 RAYON_NUM_THREADS=1 cargo test -q --locked --test overlap_bitwise
 GRAPE6_FORCE_SCALAR=1 cargo run --release --locked -p grape6-bench --bin kernel_bench -- 8 2 128
 
-echo "==> force-kernel matrix (release): scalar vs batched vs SIMD lanes"
-# Runs every kernel variant the host supports (scalar, batched, simd-avx2,
+echo "==> force-kernel matrix (release): scalar oracle vs lane kernel at every level"
+# Runs every kernel variant the host supports (scalar, portable, simd-avx2,
 # simd-avx512 where detected) at N=256 and N=512, asserts all land on
 # bitwise-identical state over a whole integration (exit 1 otherwise) and
-# emits BENCH_kernel.json.  The relational regression guard: the batched
-# kernel must never be slower than the oracle it replaces, and the best
-# SIMD variant must never be slower than the batched kernel it replaces.
+# emits BENCH_kernel.json.  The relational regression guard: the lane
+# kernel on the portable instance must never be slower than the oracle,
+# and the best x86 level must never be slower than the portable one.
 cargo run --release --locked -p grape6-bench --bin kernel_bench -- 16 2 256 512
 python3 - <<'EOF'
 import json
@@ -58,22 +58,21 @@ for entry in r["entries"]:
     if not entry["bitwise_identical"]:
         raise SystemExit(f"REGRESSION: N={n}: kernel variants diverged bitwise")
     by = {v["label"]: v["interactions_per_sec"] for v in entry["variants"]}
-    scalar, batched = by["scalar"], by["batched"]
+    scalar, portable = by["scalar"], by["portable"]
     simd = {k: v for k, v in by.items() if k.startswith("simd")}
     row = ", ".join(f"{k} {v:.3e}" for k, v in by.items())
     print(f"kernel guard: N={n}: {row} inter/s")
-    if batched < scalar:
-        raise SystemExit(f"REGRESSION: N={n}: batched kernel slower than the scalar oracle")
-    if simd and max(simd.values()) < batched:
-        raise SystemExit(f"REGRESSION: N={n}: best SIMD variant slower than the batched kernel")
+    if portable < scalar:
+        raise SystemExit(f"REGRESSION: N={n}: portable lanes slower than the scalar oracle")
+    if simd and max(simd.values()) < portable:
+        raise SystemExit(f"REGRESSION: N={n}: best SIMD level slower than the portable lanes")
 EOF
 
 echo "==> crossover bench smoke (release): 1-16 nodes x 3 network schedules"
 # Verifies the chained wave digests are identical across virtual /
 # split-phase / TCP / UDS backends (exit 1 otherwise) and emits
 # BENCH_crossover.json.  The guard: the coalesced + overlapped schedule's
-# 4-node network share must beat the committed sequential baseline from
-# BENCH_breakdown.json.
+# 4-node network share must beat the same run's sequential schedule.
 cargo run --release --locked -p grape6-bench --bin crossover_bench -- 128 0.03125
 python3 - <<'EOF'
 import json
@@ -81,17 +80,13 @@ with open("BENCH_crossover.json") as f:
     r = json.load(f)
 if not r["bitwise"]["identical"]:
     raise SystemExit("REGRESSION: wave digests diverged across transports/schedules")
-with open("BENCH_breakdown.json") as f:
-    b = json.load(f)
-base = next(e for e in b if e["layout"] == "4-node cluster")
-base_share = (base["measured"]["sync"] + base["measured"]["exchange"]) / base["measured"]["total"]
 ovl = r["four_node"]["coalesced_overlapped_share"]
 seq = r["four_node"]["sequential_share"]
-print(f"crossover guard: 4-node net share baseline {base_share:.3f}, "
-      f"sequential {seq:.3f}, coalesced+overlapped {ovl:.3f}")
-if ovl >= base_share:
+print(f"crossover guard: 4-node net share sequential {seq:.3f}, "
+      f"coalesced+overlapped {ovl:.3f}")
+if ovl >= seq:
     raise SystemExit("REGRESSION: coalesced+overlapped schedule no longer beats "
-                     "the committed sequential network share")
+                     "the sequential network share")
 EOF
 
 echo "==> example smoke tests (release)"

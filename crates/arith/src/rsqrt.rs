@@ -118,8 +118,8 @@ impl RsqrtCubedUnit {
     /// [`eval_pow_m32`](Self::eval_pow_m32) and
     /// [`eval_pow_m12`](Self::eval_pow_m12) separately — the segment lookup
     /// and Taylor evaluation use exactly the same operations — but the
-    /// argument is split and indexed once.  This is the batched kernel's
-    /// entry point.
+    /// argument is split and indexed once.  The lane kernel's per-lane
+    /// fixup and slice tails go through here.
     #[inline]
     pub fn eval_both(&self, x: f64) -> (f64, f64) {
         if x <= 0.0 || !x.is_finite() {
@@ -178,7 +178,6 @@ impl RsqrtCubedUnit {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
 impl RsqrtCubedUnit {
     /// Lane-parallel [`eval_both`](Self::eval_both): decompose a whole
     /// vector of arguments, gather the fused 64-byte segment records for
@@ -283,6 +282,7 @@ impl RsqrtCubedUnit {
         (r32, r12)
     }
 
+    #[cfg(any(target_arch = "x86_64", test))]
     #[inline(always)]
     unsafe fn eval_slice_lanes<L: crate::simd::Lanes>(
         &self,
@@ -306,11 +306,13 @@ impl RsqrtCubedUnit {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn eval_slice_avx2(&self, xs: &[f64], out32: &mut [f64], out12: &mut [f64]) {
         self.eval_slice_lanes::<crate::simd::Avx2>(xs, out32, out12)
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq")]
     unsafe fn eval_slice_avx512(&self, xs: &[f64], out32: &mut [f64], out12: &mut [f64]) {
         self.eval_slice_lanes::<crate::simd::Avx512>(xs, out32, out12)
@@ -609,34 +611,25 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn lane_gather_is_bitwise_identical_to_scalar_eval_both() {
-        use crate::simd::{Avx2, Avx512, Lanes};
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn one_avx2(u: &RsqrtCubedUnit, xs: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-            let (r32, r12) = u.eval_both_lanes::<Avx2>(<Avx2 as Lanes>::load(xs.as_ptr()));
-            let (mut a, mut b) = ([0.0; 4], [0.0; 4]);
-            <Avx2 as Lanes>::store(a.as_mut_ptr(), r32);
-            <Avx2 as Lanes>::store(b.as_mut_ptr(), r12);
-            (a, b)
-        }
-
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn one_avx512(u: &RsqrtCubedUnit, xs: &[f64; 8]) -> ([f64; 8], [f64; 8]) {
-            let (r32, r12) = u.eval_both_lanes::<Avx512>(<Avx512 as Lanes>::load(xs.as_ptr()));
-            let (mut a, mut b) = ([0.0; 8], [0.0; 8]);
-            <Avx512 as Lanes>::store(a.as_mut_ptr(), r32);
-            <Avx512 as Lanes>::store(b.as_mut_ptr(), r12);
-            (a, b)
-        }
-
-        let avx2 = is_x86_feature_detected!("avx2");
-        let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
-        if !avx2 {
-            eprintln!("skipping: no AVX2 on this host");
-            return;
+        use crate::simd::Portable;
+        type Eval = unsafe fn(&RsqrtCubedUnit, &[f64], &mut [f64], &mut [f64]);
+        // Every lane instance this host can run: `Portable` always, the
+        // x86 files only after their runtime check.
+        #[allow(unused_mut)]
+        let mut instances: Vec<(&str, Eval)> =
+            vec![("portable", RsqrtCubedUnit::eval_slice_lanes::<Portable>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use crate::simd::{hardware_level, SimdLevel};
+            let hw = hardware_level();
+            if hw.is_some() {
+                instances.push(("avx2", RsqrtCubedUnit::eval_slice_avx2));
+            }
+            if hw == Some(SimdLevel::Avx512) {
+                instances.push(("avx512", RsqrtCubedUnit::eval_slice_avx512));
+            }
         }
         // Default table and a non-default size (different index widths).
         for u in [RsqrtCubedUnit::default(), RsqrtCubedUnit::new(6)] {
@@ -683,35 +676,17 @@ mod tests {
                     (s & 0x000f_ffff_ffff_ffff) | 0x3fe0_0000_0000_0000,
                 ));
             }
-            while xs.len() % 8 != 0 {
-                xs.push(1.5);
-            }
-            for chunk in xs.chunks_exact(8) {
-                let want: Vec<(u64, u64)> = chunk
-                    .iter()
-                    .map(|&x| {
-                        let (a, b) = u.eval_both(x);
-                        (a.to_bits(), b.to_bits())
-                    })
-                    .collect();
-                for halfc in 0..2 {
-                    let xs4: [f64; 4] = std::array::from_fn(|i| chunk[halfc * 4 + i]);
-                    // SAFETY: avx2 checked above.
-                    let (a, b) = unsafe { one_avx2(&u, &xs4) };
-                    for i in 0..4 {
-                        let w = want[halfc * 4 + i];
-                        assert_eq!(a[i].to_bits(), w.0, "avx2 m32 x={:e}", xs4[i]);
-                        assert_eq!(b[i].to_bits(), w.1, "avx2 m12 x={:e}", xs4[i]);
-                    }
-                }
-                if avx512 {
-                    let xs8: [f64; 8] = chunk.try_into().unwrap();
-                    // SAFETY: avx512f+dq checked above.
-                    let (a, b) = unsafe { one_avx512(&u, &xs8) };
-                    for i in 0..8 {
-                        assert_eq!(a[i].to_bits(), want[i].0, "avx512 m32 x={:e}", xs8[i]);
-                        assert_eq!(b[i].to_bits(), want[i].1, "avx512 m12 x={:e}", xs8[i]);
-                    }
+            // A multiple of every lane width: nothing takes the scalar tail.
+            xs.resize(xs.len().next_multiple_of(8), 1.5);
+            let mut out32 = vec![0.0f64; xs.len()];
+            let mut out12 = vec![0.0f64; xs.len()];
+            for &(label, eval) in &instances {
+                // SAFETY: `instances` lists only runnable lane files.
+                unsafe { eval(&u, &xs, &mut out32, &mut out12) };
+                for (k, &x) in xs.iter().enumerate() {
+                    let (w32, w12) = u.eval_both(x);
+                    assert_eq!(out32[k].to_bits(), w32.to_bits(), "{label} m32 x={x:e}");
+                    assert_eq!(out12[k].to_bits(), w12.to_bits(), "{label} m12 x={x:e}");
                 }
             }
         }

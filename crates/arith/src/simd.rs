@@ -1,31 +1,30 @@
-//! Hand-rolled SIMD lanes for the pipeline arithmetic, with runtime
-//! dispatch.
+//! The lane abstraction of the pipeline arithmetic, with runtime dispatch.
 //!
-//! The batched kernel (PR 5) leans on LLVM auto-vectorization plus a
-//! container-local `target-cpu=native`, which makes its speed — though
-//! never its bits — hostage to the compiler version.  This module pins
-//! the vector shape down by hand: a [`Lanes`] trait abstracts the 4-wide
-//! AVX2 and 8-wide AVX-512 register files behind the exact operations
-//! the force pass needs, and the hot helpers ([`quantize_lanes`], the
-//! gathered `RsqrtCubedUnit::eval_both_lanes`, the pre-scaled
-//! `BatchLane::add_rounded` feed) are written once, generically, and
-//! monomorphized under `#[target_feature]` entry points.
+//! The force pass is written **once**, generically over a [`Lanes`]
+//! instance: a register file's worth of f64/i64 lanes and the exact
+//! operations the pipeline needs on them.  Three instances exist —
+//! [`Portable`] (4 lanes in plain arrays, runs on every host), and on
+//! x86-64 the hand-rolled `core::arch` files `Avx2` (4 lanes) and `Avx512`
+//! (8 lanes).  The hot helpers ([`quantize_lanes`], the gathered
+//! `RsqrtCubedUnit::eval_both_lanes`, the pre-scaled
+//! `BatchLane::add_rounded` feed) are generic too, and monomorphized
+//! under `#[target_feature]` entry points for the x86 instances.
 //!
 //! **Bitwise contract.** Every lane operation used here is either pure
 //! integer manipulation (identical to scalar by definition) or an IEEE-754
 //! f64 `add`/`sub`/`mul`/`round-to-nearest-even`, which x86 vector units
 //! implement bit-identically to their scalar counterparts.  FMA is never
 //! used — the pipeline model rounds after *every* operation, so a fused
-//! multiply-add would change bits.  The SIMD kernel is therefore
-//! bit-identical to the scalar batched kernel, which is itself enforced
-//! bit-identical to the scalar oracle.
+//! multiply-add would change bits.  Every instance is therefore
+//! bit-identical to every other, and all are enforced bit-identical to the
+//! scalar oracle.
 //!
 //! **Dispatch.** [`active_level`] combines one-time hardware detection
-//! (`is_x86_feature_detected!`), the `GRAPE6_FORCE_SCALAR` /
-//! `GRAPE6_SIMD` environment overrides, and a process-wide programmatic
-//! override ([`set_dispatch_override`]) used by the kernel benchmark to
-//! time the AVX2 variant on an AVX-512 host.  When no level is active the
-//! callers fall back to the scalar batched path — same bits, fewer lanes.
+//! (`is_x86_feature_detected!`), the `GRAPE6_FORCE_SCALAR` environment
+//! override, and a process-wide programmatic override
+//! ([`set_dispatch_override`]) used by the kernel benchmark to time the
+//! AVX2 variant on an AVX-512 host.  When no level is active the callers
+//! run the [`Portable`] instance — same bits, narrower lanes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -56,12 +55,10 @@ pub enum DispatchOverride {
     /// Use whatever detection (and the environment) allows.
     #[default]
     Auto,
-    /// Run the scalar batched fallback even on SIMD-capable hosts.
+    /// Run the portable lanes even on SIMD-capable hosts.
     ForceScalar,
     /// Cap at AVX2 (times the 4-wide variant on an AVX-512 host).
     CapAvx2,
-    /// Cap at AVX-512 (same as `Auto` on every real host).
-    CapAvx512,
 }
 
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
@@ -74,7 +71,6 @@ pub fn set_dispatch_override(o: DispatchOverride) {
         DispatchOverride::Auto => 0,
         DispatchOverride::ForceScalar => 1,
         DispatchOverride::CapAvx2 => 2,
-        DispatchOverride::CapAvx512 => 3,
     };
     OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -84,40 +80,28 @@ pub fn dispatch_override() -> DispatchOverride {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => DispatchOverride::ForceScalar,
         2 => DispatchOverride::CapAvx2,
-        3 => DispatchOverride::CapAvx512,
         _ => DispatchOverride::Auto,
     }
 }
 
-/// Highest level the host supports, after the environment overrides.
+/// Highest level the host supports, after the environment override.
 /// Detection and environment are read once per process.
 ///
-/// * `GRAPE6_FORCE_SCALAR` — any value other than empty or `0` disables
-///   SIMD dispatch entirely (CI uses this to keep the fallback path
-///   exercised on AVX-capable runners).
-/// * `GRAPE6_SIMD` — `off`/`scalar` disables, `avx2` caps at AVX2,
-///   `avx512` (or unset) allows full detection.
+/// `GRAPE6_FORCE_SCALAR` — any value other than empty or `0` — disables
+/// SIMD dispatch entirely (CI uses this to run the whole matrix through
+/// the portable lanes on AVX-capable runners).
 pub fn detected_level() -> Option<SimdLevel> {
     static DETECTED: OnceLock<Option<SimdLevel>> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         if matches!(std::env::var("GRAPE6_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0") {
             return None;
         }
-        let cap = match std::env::var("GRAPE6_SIMD").as_deref() {
-            Ok("off") | Ok("scalar") => return None,
-            Ok("avx2") => Some(SimdLevel::Avx2),
-            _ => None, // unset / "avx512" / unknown: full detection
-        };
-        let hw = hardware_level();
-        match (hw, cap) {
-            (Some(h), Some(c)) => Some(h.min(c)),
-            (h, _) => h,
-        }
+        hardware_level()
     })
 }
 
 #[cfg(target_arch = "x86_64")]
-fn hardware_level() -> Option<SimdLevel> {
+pub(crate) fn hardware_level() -> Option<SimdLevel> {
     if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
         Some(SimdLevel::Avx512)
     } else if is_x86_feature_detected!("avx2") {
@@ -128,17 +112,16 @@ fn hardware_level() -> Option<SimdLevel> {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-fn hardware_level() -> Option<SimdLevel> {
+pub(crate) fn hardware_level() -> Option<SimdLevel> {
     None
 }
 
 /// The level the kernel should dispatch to right now: detection capped by
-/// the programmatic override.  `None` means "run the scalar batched
-/// fallback".
+/// the programmatic override.  `None` means "run the [`Portable`] lanes".
 pub fn active_level() -> Option<SimdLevel> {
     let detected = detected_level()?;
     match dispatch_override() {
-        DispatchOverride::Auto | DispatchOverride::CapAvx512 => Some(detected),
+        DispatchOverride::Auto => Some(detected),
         DispatchOverride::ForceScalar => None,
         DispatchOverride::CapAvx2 => Some(detected.min(SimdLevel::Avx2)),
     }
@@ -149,11 +132,12 @@ pub fn active_level() -> Option<SimdLevel> {
 ///
 /// Every method is `unsafe`: the caller must guarantee the implementing
 /// ISA is available on the running CPU (the dispatchers in this crate
-/// only reach these through `#[target_feature]` entry points selected by
-/// [`active_level`]).  All float methods are single-rounded IEEE-754
-/// operations, bit-identical to their scalar f64 counterparts; integer
-/// methods wrap like the scalar `wrapping_*` family.
-#[cfg(target_arch = "x86_64")]
+/// only reach the x86 instances through `#[target_feature]` entry points
+/// selected by [`active_level`]; [`Portable`] needs no ISA) and that the
+/// pointers handed to loads, stores and gathers are valid for `WIDTH`
+/// elements.  All float methods are single-rounded IEEE-754 operations,
+/// bit-identical to their scalar f64 counterparts; integer methods wrap
+/// like the scalar `wrapping_*` family.  Shift counts are below 64.
 #[allow(clippy::missing_safety_doc)] // blanket contract documented above
 pub trait Lanes: Copy {
     /// Number of f64 lanes.
@@ -219,6 +203,149 @@ pub trait Lanes: Copy {
     /// Gather `WIDTH` doubles from `base + idx·8` bytes (`idx` in f64
     /// units, i64 lanes).
     unsafe fn gather(base: *const f64, idx: Self::I) -> Self::F;
+}
+
+/// 4 × f64 lanes in plain arrays: the instance every host can run.  The
+/// batched entry points pin it and dispatch runs it when no SIMD level is
+/// active; the compiler is free to map the arrays onto whatever vector
+/// registers the build target has.
+#[derive(Clone, Copy, Debug)]
+pub struct Portable;
+
+/// `[e(0), e(1), e(2), e(3)]` spelled out: no closure and no iterator
+/// between the lanes and the optimiser, and unoptimised (test-profile)
+/// builds stay usable.
+macro_rules! lanes4 {
+    ($k:ident => $e:expr) => {
+        [
+            {
+                let $k = 0;
+                $e
+            },
+            {
+                let $k = 1;
+                $e
+            },
+            {
+                let $k = 2;
+                $e
+            },
+            {
+                let $k = 3;
+                $e
+            },
+        ]
+    };
+}
+
+#[allow(clippy::missing_safety_doc)]
+impl Lanes for Portable {
+    const WIDTH: usize = 4;
+    const ALL: u32 = 0b1111;
+    type F = [f64; 4];
+    type I = [i64; 4];
+    type M = [bool; 4];
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> [f64; 4] {
+        [x; 4]
+    }
+    #[inline(always)]
+    unsafe fn splat_i(x: i64) -> [i64; 4] {
+        [x; 4]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> [f64; 4] {
+        p.cast::<[f64; 4]>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, v: [f64; 4]) {
+        p.cast::<[f64; 4]>().write_unaligned(v)
+    }
+    #[inline(always)]
+    unsafe fn load_i(p: *const i64) -> [i64; 4] {
+        p.cast::<[i64; 4]>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn add(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
+        lanes4!(k => a[k] + b[k])
+    }
+    #[inline(always)]
+    unsafe fn sub(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
+        lanes4!(k => a[k] - b[k])
+    }
+    #[inline(always)]
+    unsafe fn mul(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
+        lanes4!(k => a[k] * b[k])
+    }
+    #[inline(always)]
+    unsafe fn round_ties_even(a: [f64; 4]) -> [f64; 4] {
+        lanes4!(k => a[k].round_ties_even())
+    }
+    #[inline(always)]
+    unsafe fn to_bits(a: [f64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k].to_bits() as i64)
+    }
+    #[inline(always)]
+    unsafe fn from_bits(a: [i64; 4]) -> [f64; 4] {
+        lanes4!(k => f64::from_bits(a[k] as u64))
+    }
+    #[inline(always)]
+    unsafe fn add_i(a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k].wrapping_add(b[k]))
+    }
+    #[inline(always)]
+    unsafe fn sub_i(a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k].wrapping_sub(b[k]))
+    }
+    #[inline(always)]
+    unsafe fn and_i(a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k] & b[k])
+    }
+    #[inline(always)]
+    unsafe fn or_i(a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k] | b[k])
+    }
+    #[inline(always)]
+    unsafe fn xor_i(a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k] ^ b[k])
+    }
+    #[inline(always)]
+    unsafe fn shr_i(a: [i64; 4], n: u32) -> [i64; 4] {
+        lanes4!(k => ((a[k] as u64) >> n) as i64)
+    }
+    #[inline(always)]
+    unsafe fn shl_i(a: [i64; 4], n: u32) -> [i64; 4] {
+        lanes4!(k => a[k] << n)
+    }
+    #[inline(always)]
+    unsafe fn i64_to_f64(a: [i64; 4]) -> [f64; 4] {
+        lanes4!(k => a[k] as f64)
+    }
+    #[inline(always)]
+    unsafe fn cmpeq_i(a: [i64; 4], b: [i64; 4]) -> [bool; 4] {
+        lanes4!(k => a[k] == b[k])
+    }
+    #[inline(always)]
+    unsafe fn cmpgt_i(a: [i64; 4], b: [i64; 4]) -> [bool; 4] {
+        lanes4!(k => a[k] > b[k])
+    }
+    #[inline(always)]
+    unsafe fn mask_and(a: [bool; 4], b: [bool; 4]) -> [bool; 4] {
+        lanes4!(k => a[k] & b[k])
+    }
+    #[inline(always)]
+    unsafe fn select(m: [bool; 4], t: [f64; 4], f: [f64; 4]) -> [f64; 4] {
+        lanes4!(k => if m[k] { t[k] } else { f[k] })
+    }
+    #[inline(always)]
+    unsafe fn mask_bits(m: [bool; 4]) -> u32 {
+        m[0] as u32 | (m[1] as u32) << 1 | (m[2] as u32) << 2 | (m[3] as u32) << 3
+    }
+    #[inline(always)]
+    unsafe fn gather(base: *const f64, idx: [i64; 4]) -> [f64; 4] {
+        lanes4!(k => *base.offset(idx[k] as isize))
+    }
 }
 
 /// 4 × f64 AVX2 lanes.
@@ -480,7 +607,6 @@ mod x86 {
 ///
 /// # Safety
 /// `L`'s ISA must be available on the running CPU.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 pub unsafe fn quantize_lanes<L: Lanes>(x: L::F, sig: u32) -> L::F {
     debug_assert!((1..=52).contains(&sig));
@@ -523,7 +649,7 @@ pub fn quantize_slice(xs: &[f64], out: &mut [f64], sig: u32) -> Option<SimdLevel
     }
 }
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(any(target_arch = "x86_64", test))]
 #[inline(always)]
 unsafe fn quantize_slice_lanes<L: Lanes>(xs: &[f64], out: &mut [f64], sig: u32) {
     let n = xs.len();
@@ -578,189 +704,158 @@ mod tests {
         assert_eq!(active_level(), None);
         set_dispatch_override(DispatchOverride::CapAvx2);
         assert_eq!(active_level(), detected.map(|l| l.min(SimdLevel::Avx2)));
-        set_dispatch_override(DispatchOverride::CapAvx512);
-        assert_eq!(active_level(), detected);
         set_dispatch_override(DispatchOverride::Auto);
         assert_eq!(active_level(), detected);
     }
 
+    /// `out = xs as f64`, and `halved = round_ties_even(out · ½)` — odd
+    /// inputs put the lane rounding on exact ties.
+    #[inline(always)]
+    unsafe fn cvt_lanes<L: Lanes>(xs: &[i64], out: &mut [f64], halved: &mut [f64]) {
+        for (k, x) in xs.chunks_exact(L::WIDTH).enumerate() {
+            let v = L::i64_to_f64(L::load_i(x.as_ptr()));
+            L::store(out.as_mut_ptr().add(k * L::WIDTH), v);
+            let h = L::round_ties_even(L::mul(v, L::splat(0.5)));
+            L::store(halved.as_mut_ptr().add(k * L::WIDTH), h);
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
-    mod lane_equivalence {
-        use super::super::*;
-        use super::xorshift_sweep;
+    #[target_feature(enable = "avx2")]
+    unsafe fn cvt_avx2(xs: &[i64], out: &mut [f64], halved: &mut [f64]) {
+        cvt_lanes::<Avx2>(xs, out, halved)
+    }
 
-        // Per-ISA test drivers: plain #[target_feature] wrappers over the
-        // generic bodies, called only after an explicit runtime check.
-        #[target_feature(enable = "avx2")]
-        unsafe fn quantize_one_avx2(xs: &[f64; 4], out: &mut [f64; 4], sig: u32) {
-            let v = <Avx2 as Lanes>::load(xs.as_ptr());
-            <Avx2 as Lanes>::store(out.as_mut_ptr(), quantize_lanes::<Avx2>(v, sig));
-        }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn cvt_avx512(xs: &[i64], out: &mut [f64], halved: &mut [f64]) {
+        cvt_lanes::<Avx512>(xs, out, halved)
+    }
 
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn quantize_one_avx512(xs: &[f64; 8], out: &mut [f64; 8], sig: u32) {
-            let v = <Avx512 as Lanes>::load(xs.as_ptr());
-            <Avx512 as Lanes>::store(out.as_mut_ptr(), quantize_lanes::<Avx512>(v, sig));
-        }
+    type Quantizer = unsafe fn(&[f64], &mut [f64], u32);
+    type Converter = unsafe fn(&[i64], &mut [f64], &mut [f64]);
 
-        #[target_feature(enable = "avx2")]
-        unsafe fn cvt_avx2(xs: &[i64; 4], out: &mut [f64; 4]) {
-            let v = <Avx2 as Lanes>::load_i(xs.as_ptr());
-            <Avx2 as Lanes>::store(out.as_mut_ptr(), <Avx2 as Lanes>::i64_to_f64(v));
-        }
-
-        #[target_feature(enable = "avx512f,avx512dq")]
-        unsafe fn cvt_avx512(xs: &[i64; 8], out: &mut [f64; 8]) {
-            let v = <Avx512 as Lanes>::load_i(xs.as_ptr());
-            <Avx512 as Lanes>::store(out.as_mut_ptr(), <Avx512 as Lanes>::i64_to_f64(v));
-        }
-
-        #[test]
-        fn lane_quantizer_matches_scalar_on_random_bit_patterns() {
-            let avx2 = is_x86_feature_detected!("avx2");
-            let avx512 =
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
-            if !avx2 {
-                eprintln!("skipping: no AVX2 on this host");
-                return;
+    /// Every lane instance this host can run — `Portable` always, the x86
+    /// files when detected — as slice drivers over the generic bodies.
+    /// Calling an entry is sound because it is only listed after its
+    /// runtime check.
+    fn lane_instances() -> Vec<(&'static str, Quantizer, Converter)> {
+        #[allow(unused_mut)]
+        let mut v: Vec<(&'static str, Quantizer, Converter)> = vec![(
+            "portable",
+            quantize_slice_lanes::<Portable>,
+            cvt_lanes::<Portable>,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let hw = hardware_level();
+            if hw.is_some() {
+                v.push(("avx2", quantize_slice_avx2, cvt_avx2));
             }
-            let mut pend: Vec<u64> = Vec::new();
-            xorshift_sweep(|s| pend.push(s));
-            // Structured extras: specials and exact grid ties.
-            for x in [
-                0.0f64,
-                -0.0,
-                f64::NAN,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::MIN_POSITIVE,
-                f64::from_bits(1),
-                f64::from_bits(0x000f_ffff_ffff_ffff),
-                1.0 + 2f64.powi(-24),
-                2.0 - 2f64.powi(-25),
-            ] {
-                pend.push(x.to_bits());
+            if hw == Some(SimdLevel::Avx512) {
+                v.push(("avx512", quantize_slice_avx512, cvt_avx512));
             }
-            while pend.len() % 8 != 0 {
-                pend.push(0);
-            }
-            for sig in [24u32, 11, 50] {
-                for chunk in pend.chunks_exact(8) {
-                    let xs8: [f64; 8] = std::array::from_fn(|i| f64::from_bits(chunk[i]));
-                    let want: [u64; 8] = std::array::from_fn(|i| {
-                        crate::quantize_sig_branchless(xs8[i], sig).to_bits()
-                    });
-                    for half in 0..2 {
-                        let xs4: [f64; 4] = std::array::from_fn(|i| xs8[half * 4 + i]);
-                        let mut out4 = [0.0f64; 4];
-                        // SAFETY: avx2 checked above.
-                        unsafe { quantize_one_avx2(&xs4, &mut out4, sig) };
-                        for i in 0..4 {
-                            assert_eq!(
-                                out4[i].to_bits(),
-                                want[half * 4 + i],
-                                "avx2 sig={sig} bits={:#018x}",
-                                chunk[half * 4 + i]
-                            );
-                        }
-                    }
-                    if avx512 {
-                        let mut out8 = [0.0f64; 8];
-                        // SAFETY: avx512f+dq checked above.
-                        unsafe { quantize_one_avx512(&xs8, &mut out8, sig) };
-                        for i in 0..8 {
-                            assert_eq!(
-                                out8[i].to_bits(),
-                                want[i],
-                                "avx512 sig={sig} bits={:#018x}",
-                                chunk[i]
-                            );
-                        }
-                    }
+        }
+        v
+    }
+
+    #[test]
+    fn lane_quantizer_matches_scalar_on_random_bit_patterns() {
+        let mut xs: Vec<f64> = Vec::new();
+        xorshift_sweep(|s| xs.push(f64::from_bits(s)));
+        // Structured extras: specials and exact grid ties.
+        xs.extend_from_slice(&[
+            0.0f64,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1.0 + 2f64.powi(-24),
+            2.0 - 2f64.powi(-25),
+        ]);
+        // A multiple of every lane width: nothing goes through the
+        // scalar tail.
+        xs.resize(xs.len().next_multiple_of(8), 0.0);
+        let mut out = vec![0.0f64; xs.len()];
+        for sig in [24u32, 11, 50] {
+            for (label, quantize, _) in lane_instances() {
+                // SAFETY: `lane_instances` lists only runnable instances.
+                unsafe { quantize(&xs, &mut out, sig) };
+                for (&x, &got) in xs.iter().zip(&out) {
+                    assert_eq!(
+                        got.to_bits(),
+                        crate::quantize_sig_branchless(x, sig).to_bits(),
+                        "{label} sig={sig} bits={:#018x}",
+                        x.to_bits()
+                    );
                 }
             }
         }
+    }
 
-        #[test]
-        fn lane_i64_to_f64_matches_scalar_cast() {
-            let avx2 = is_x86_feature_detected!("avx2");
-            let avx512 =
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
-            if !avx2 {
-                eprintln!("skipping: no AVX2 on this host");
-                return;
-            }
-            let mut vals: Vec<i64> = vec![
-                0,
-                1,
-                -1,
-                i64::MAX,
-                i64::MIN,
-                i64::MAX - 1,
-                i64::MIN + 1,
-                (1 << 53) + 1, // first value needing a rounded cast
-                -(1 << 53) - 1,
-                (1 << 62) | 1,
-                u32::MAX as i64,
-                -(u32::MAX as i64),
-            ];
-            xorshift_sweep(|s| vals.push(s as i64));
-            while vals.len() % 8 != 0 {
-                vals.push(0);
-            }
-            for chunk in vals.chunks_exact(8) {
-                let want: [u64; 8] = std::array::from_fn(|i| (chunk[i] as f64).to_bits());
-                for half in 0..2 {
-                    let xs4: [i64; 4] = std::array::from_fn(|i| chunk[half * 4 + i]);
-                    let mut out4 = [0.0f64; 4];
-                    // SAFETY: avx2 checked above.
-                    unsafe { cvt_avx2(&xs4, &mut out4) };
-                    for i in 0..4 {
-                        assert_eq!(
-                            out4[i].to_bits(),
-                            want[half * 4 + i],
-                            "avx2 v={}",
-                            chunk[half * 4 + i]
-                        );
-                    }
-                }
-                if avx512 {
-                    let xs8: [i64; 8] = chunk.try_into().unwrap();
-                    let mut out8 = [0.0f64; 8];
-                    // SAFETY: avx512f+dq checked above.
-                    unsafe { cvt_avx512(&xs8, &mut out8) };
-                    for i in 0..8 {
-                        assert_eq!(out8[i].to_bits(), want[i], "avx512 v={}", chunk[i]);
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn quantize_slice_matches_scalar_including_tail() {
-            if active_level().is_none() {
-                eprintln!("skipping: no SIMD level active");
-                return;
-            }
-            let mut xs = Vec::new();
-            let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
-            for _ in 0..1027 {
-                // odd length: exercises the scalar tail
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                xs.push(f64::from_bits(s));
-            }
-            let mut out = vec![0.0; xs.len()];
-            let level = quantize_slice(&xs, &mut out, 24);
-            assert!(level.is_some());
-            for (i, (&x, &o)) in xs.iter().zip(&out).enumerate() {
+    #[test]
+    fn lane_i64_to_f64_matches_scalar_cast() {
+        let mut vals: Vec<i64> = vec![
+            0,
+            1,
+            -1,
+            i64::MAX,
+            i64::MIN,
+            i64::MAX - 1,
+            i64::MIN + 1,
+            (1 << 53) + 1, // first value needing a rounded cast
+            -(1 << 53) - 1,
+            (1 << 62) | 1,
+            u32::MAX as i64,
+            -(u32::MAX as i64),
+        ];
+        vals.extend(-9..=9); // halves: ties on both sides of zero
+        xorshift_sweep(|s| vals.push(s as i64));
+        vals.resize(vals.len().next_multiple_of(8), 0);
+        let mut out = vec![0.0f64; vals.len()];
+        let mut halved = vec![0.0f64; vals.len()];
+        for (label, _, convert) in lane_instances() {
+            // SAFETY: `lane_instances` lists only runnable instances.
+            unsafe { convert(&vals, &mut out, &mut halved) };
+            for (k, &v) in vals.iter().enumerate() {
+                let want = v as f64;
+                assert_eq!(out[k].to_bits(), want.to_bits(), "{label} v={v}");
                 assert_eq!(
-                    o.to_bits(),
-                    crate::quantize_sig_branchless(x, 24).to_bits(),
-                    "lane {i}"
+                    halved[k].to_bits(),
+                    (want * 0.5).round_ties_even().to_bits(),
+                    "{label} round(v/2) v={v}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn quantize_slice_matches_scalar_including_tail() {
+        if active_level().is_none() {
+            eprintln!("skipping: no SIMD level active");
+            return;
+        }
+        let mut xs = Vec::new();
+        let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..1027 {
+            // odd length: exercises the scalar tail
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            xs.push(f64::from_bits(s));
+        }
+        let mut out = vec![0.0; xs.len()];
+        let level = quantize_slice(&xs, &mut out, 24);
+        assert!(level.is_some());
+        for (i, (&x, &o)) in xs.iter().zip(&out).enumerate() {
+            assert_eq!(
+                o.to_bits(),
+                crate::quantize_sig_branchless(x, 24).to_bits(),
+                "lane {i}"
+            );
         }
     }
 }

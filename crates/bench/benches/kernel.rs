@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks of the force-pass kernels.
 //!
-//! A/B/C of the per-interaction scalar oracle, the batched
-//! structure-of-arrays kernel, and the runtime-dispatched SIMD-lane
-//! kernel on the same chip pass (48 i × many j) — all produce identical
-//! bits, so the only thing measured here is host throughput.  The
+//! A/B of the per-interaction scalar oracle and the runtime-dispatched
+//! lane kernel on the same chip pass (48 i × many j) — both produce
+//! identical bits, so the only thing measured here is host throughput.  The
 //! whole-blockstep comparison (and the JSON the CI regression guard
 //! reads) lives in the `kernel_bench` binary.
 
@@ -51,7 +50,7 @@ fn bench_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel");
     g.sample_size(20);
     g.throughput(Throughput::Elements((48 * n_j) as u64));
-    for mode in [KernelMode::Scalar, KernelMode::Batched, KernelMode::Simd] {
+    for mode in [KernelMode::Scalar, KernelMode::Simd] {
         let (mut chip, i_regs, exps) = loaded_chip(n_j);
         chip.set_kernel_mode(mode);
         g.bench_function(format!("pass_48i_1024j_{}", mode.name()), |b| {
@@ -66,7 +65,7 @@ fn bench_kernels_nb(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel_nb");
     g.sample_size(20);
     g.throughput(Throughput::Elements((48 * n_j) as u64));
-    for mode in [KernelMode::Scalar, KernelMode::Batched, KernelMode::Simd] {
+    for mode in [KernelMode::Scalar, KernelMode::Simd] {
         let (mut chip, i_regs, exps) = loaded_chip(n_j);
         chip.set_kernel_mode(mode);
         let h2 = vec![0.01; 48];

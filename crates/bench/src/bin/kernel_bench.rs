@@ -1,17 +1,16 @@
 //! Force-kernel comparison matrix — `BENCH_kernel.json`.
 //!
 //! Runs the same Plummer integration once per kernel variant — the
-//! per-interaction scalar reference oracle, the auto-vectorised batched
-//! SoA kernel, and the hand-rolled SIMD-lane kernel at each dispatch
-//! level the host supports (`simd-avx2`, `simd-avx512` where detected) —
-//! across a matrix of system sizes, verifies that every variant lands on
+//! per-interaction scalar reference oracle, and the lane kernel at each
+//! dispatch level the host supports (`portable` always, `simd-avx2`,
+//! `simd-avx512` where detected) — across a matrix of system sizes, verifies that every variant lands on
 //! bitwise-identical particle state, and reports host wall-clock and
 //! interactions per second per variant.
 //!
 //! The bitwise verdict is **asserted** (exit 1 on divergence): every
 //! kernel's whole contract is same bits, less host time.  Speedups are
 //! printed and recorded in the JSON; `ci.sh` guards the relational floor
-//! (batched ≥ scalar, best SIMD ≥ batched).
+//! (portable ≥ scalar, best SIMD ≥ portable).
 //!
 //! Usage: `kernel_bench [BLOCKSTEPS] [BOARDS] [N...]`
 //! (defaults 24 / 2 / 256 512 — CI-sized; larger N amortises per-pass

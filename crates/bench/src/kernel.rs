@@ -1,13 +1,12 @@
-//! Kernel A/B/C benchmark: scalar oracle vs batched SoA vs SIMD lanes.
+//! Kernel benchmark: scalar oracle vs the lane kernel at every level.
 //!
 //! The simulated pipeline's results are fixed by the bit-exact arithmetic
 //! contract, so the only thing a host kernel may change is how fast the
 //! host reproduces them.  This module runs the same Plummer integration
-//! once per **kernel variant** — the per-interaction scalar oracle, the
-//! auto-vectorised batched SoA kernel, and the hand-rolled SIMD-lane
-//! kernel at each dispatch level the host supports (`simd-avx2`, and
-//! `simd-avx512` where detected) — across a matrix of system sizes, and
-//! reports per variant:
+//! once per **kernel variant** — the per-interaction scalar oracle, and
+//! the lane kernel at each dispatch level the host supports (`portable`
+//! always, `simd-avx2`, and `simd-avx512` where detected) — across a
+//! matrix of system sizes, and reports per variant:
 //!
 //! * a **bitwise identity** verdict over the final particle bits (every
 //!   kernel performs the same rounded operations in the same order per
@@ -16,9 +15,9 @@
 //! * **interactions per second of host wall-clock**, the figure of merit
 //!   for how large a functional experiment the workspace can afford.
 //!   Speedups are *reported, not asserted* here — `ci.sh` guards the
-//!   relational floor (batched ≥ scalar, best SIMD ≥ batched).
+//!   relational floor (portable ≥ scalar, best SIMD ≥ portable).
 //!
-//! SIMD levels are pinned per run through the dispatch override
+//! Lane levels are pinned per run through the dispatch override
 //! (`grape6_arith::simd::set_dispatch_override`), which can cap but never
 //! raise the detected level — so a `simd-avx2` row on an AVX-512 host
 //! really does time the 4-wide lanes.
@@ -40,7 +39,7 @@ use crate::overlap::state_hash;
 /// One kernel variant's outcome over the measured blocksteps.
 #[derive(Clone, Debug)]
 pub struct KernelRunResult {
-    /// Variant label (`scalar`, `batched`, `simd-avx2`, `simd-avx512`).
+    /// Variant label (`scalar`, `portable`, `simd-avx2`, `simd-avx512`).
     pub label: String,
     /// Real wall-clock seconds for the measured blocksteps.
     pub wall_seconds: f64,
@@ -152,39 +151,24 @@ impl KernelReport {
     }
 }
 
-/// The kernel variants this host can time: the two portable kernels plus
-/// one `simd-*` row per dispatch level the hardware (and environment)
-/// actually supports.
-pub fn variant_plan() -> Vec<(String, KernelMode, Option<DispatchOverride>)> {
+/// The kernel variants this host can time: the oracle, the lane kernel on
+/// the portable instance, and one `simd-*` row per dispatch level the
+/// hardware (and environment) actually supports.
+pub fn variant_plan() -> Vec<(&'static str, KernelMode, DispatchOverride)> {
     let mut plan = vec![
-        ("scalar".to_string(), KernelMode::Scalar, None),
-        ("batched".to_string(), KernelMode::Batched, None),
+        ("scalar", KernelMode::Scalar, DispatchOverride::Auto),
+        ("portable", KernelMode::Simd, DispatchOverride::ForceScalar),
     ];
     // `active_level()` under Auto = detected hardware ∧ environment; caps
-    // below it are honest timings, a cap above it would silently fall
-    // back to the batched path and mislabel the row.
+    // below it are honest timings, a row above it would silently run a
+    // narrower instance and mislabel itself.
     set_dispatch_override(DispatchOverride::Auto);
-    match active_level() {
-        Some(SimdLevel::Avx512) => {
-            plan.push((
-                "simd-avx2".to_string(),
-                KernelMode::Simd,
-                Some(DispatchOverride::CapAvx2),
-            ));
-            plan.push((
-                "simd-avx512".to_string(),
-                KernelMode::Simd,
-                Some(DispatchOverride::CapAvx512),
-            ));
-        }
-        Some(SimdLevel::Avx2) => {
-            plan.push((
-                "simd-avx2".to_string(),
-                KernelMode::Simd,
-                Some(DispatchOverride::CapAvx2),
-            ));
-        }
-        None => {}
+    let level = active_level();
+    if level.is_some() {
+        plan.push(("simd-avx2", KernelMode::Simd, DispatchOverride::CapAvx2));
+    }
+    if level == Some(SimdLevel::Avx512) {
+        plan.push(("simd-avx512", KernelMode::Simd, DispatchOverride::Auto));
     }
     plan
 }
@@ -198,9 +182,9 @@ fn run_variant(
     seed: u64,
     label: &str,
     mode: KernelMode,
-    level: Option<DispatchOverride>,
+    level: DispatchOverride,
 ) -> KernelRunResult {
-    set_dispatch_override(level.unwrap_or(DispatchOverride::Auto));
+    set_dispatch_override(level);
     let set = plummer_model(n, &mut StdRng::seed_from_u64(seed));
     let mut engine = Grape6Engine::try_new(machine, n).unwrap();
     engine.set_kernel_mode(mode);
@@ -270,9 +254,9 @@ mod tests {
         let report = run_kernel_bench(&machine, &[96], 16, 7);
         assert!(report.bitwise_identical(), "kernels diverged bitwise");
         let entry = &report.entries[0];
-        // Scalar and batched always run; SIMD rows depend on the host.
+        // Scalar and portable always run; SIMD rows depend on the host.
         assert!(entry.variant("scalar").is_some());
-        assert!(entry.variant("batched").is_some());
+        assert!(entry.variant("portable").is_some());
         // Every variant drove the same hardware schedule.
         let inter = entry.variant("scalar").unwrap().interactions;
         assert!(inter > 0);
@@ -281,7 +265,7 @@ mod tests {
         }
         let json = report.to_json();
         assert!(json.contains("\"bitwise_identical\":true"), "{json}");
-        assert!(json.contains("\"batched\""), "{json}");
+        assert!(json.contains("\"portable\""), "{json}");
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -289,7 +273,7 @@ mod tests {
     fn simd_rows_follow_the_detected_level() {
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let plan = variant_plan();
-        let labels: Vec<&str> = plan.iter().map(|(l, _, _)| l.as_str()).collect();
+        let labels: Vec<&str> = plan.iter().map(|(l, _, _)| *l).collect();
         set_dispatch_override(DispatchOverride::Auto);
         match active_level() {
             Some(SimdLevel::Avx512) => {
@@ -301,7 +285,7 @@ mod tests {
                 assert!(!labels.contains(&"simd-avx512"));
             }
             None => {
-                assert_eq!(labels, ["scalar", "batched"]);
+                assert_eq!(labels, ["scalar", "portable"]);
             }
         }
     }

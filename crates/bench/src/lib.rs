@@ -12,7 +12,7 @@
 //! | `fig18` | 16-node time per step + model |
 //! | `fig19` | NS83820+Athlon vs 82540EM+P4 |
 //! | `overlap_bench` | serial/parallel/overlapped schedule comparison (`BENCH_overlap.json`) |
-//! | `kernel_bench` | scalar vs batched SoA force-kernel A/B (`BENCH_kernel.json`) |
+//! | `kernel_bench` | scalar oracle vs lane kernel at every level (`BENCH_kernel.json`) |
 //! | `table_apps` | §5 application runs (Kuiper belt, binary BH) |
 //! | `table_treecode` | §5 treecode comparison (particle-steps/s) |
 //! | `calibrate` | re-measures the block statistics the model extrapolates |

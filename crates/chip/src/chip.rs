@@ -24,7 +24,7 @@ use grape6_arith::rsqrt::RsqrtCubedUnit;
 use nbody_core::force::JParticle;
 
 use crate::jmem::{HwJParticle, JMemory, StuckBit};
-use crate::kernel::{batched_row, batched_row_nb, KernelMode, SoaBatch};
+use crate::kernel::{KernelMode, SoaBatch};
 use crate::kernel_simd::{simd_row, simd_row_nb};
 use crate::pipeline::{interact, ExpSet, HwIParticle, PartialForce};
 use crate::predictor::{predict, predict_batch, PredictedJ};
@@ -86,7 +86,7 @@ pub struct Chip {
     predicted: Vec<PredictedJ>,
     /// Which force-pass kernel runs (bitwise-identical either way).
     kernel: KernelMode,
-    /// SoA decode of `predicted`, reused across passes (batched kernel).
+    /// SoA decode of `predicted`, reused across passes (lane kernel).
     soa: SoaBatch,
     /// Fault injection: the whole chip is dead (returns zeros, burns no
     /// cycles — it simply never answers the reduction network).
@@ -254,18 +254,6 @@ impl Chip {
                     out.push(pf);
                 }
             }
-            KernelMode::Batched => {
-                self.soa.decode(&self.predicted);
-                for (ip, &exp) in i_regs.iter().zip(exps) {
-                    out.push(batched_row(
-                        &self.rsqrt,
-                        ip,
-                        &self.soa,
-                        &self.predicted,
-                        exp,
-                    )?);
-                }
-            }
             KernelMode::Simd => {
                 self.soa.decode(&self.predicted);
                 for (ip, &exp) in i_regs.iter().zip(exps) {
@@ -327,22 +315,6 @@ impl Chip {
                     out.push(pf);
                 }
             }
-            KernelMode::Batched => {
-                self.soa.decode(&self.predicted);
-                for (((ip, &exp), &h2i), nb) in
-                    i_regs.iter().zip(exps).zip(h2).zip(lists.iter_mut())
-                {
-                    out.push(batched_row_nb(
-                        &self.rsqrt,
-                        ip,
-                        &self.soa,
-                        &self.predicted,
-                        exp,
-                        h2i,
-                        nb,
-                    )?);
-                }
-            }
             KernelMode::Simd => {
                 self.soa.decode(&self.predicted);
                 for (((ip, &exp), &h2i), nb) in
@@ -375,7 +347,7 @@ impl Chip {
     /// the whole memory regardless of whether the host later accepts the
     /// result) and run the predictor pipeline over every stored j.
     ///
-    /// The batched kernels use the batched SoA predictor pass; the scalar
+    /// The lane kernel uses the batched SoA predictor pass; the scalar
     /// oracle keeps the per-particle loop so a `KernelMode::Scalar` run
     /// remains an end-to-end independent reference.  The two are bitwise
     /// identical (`predict_batch` contract).
@@ -394,7 +366,7 @@ impl Chip {
                     self.predicted.push(predict(p, t));
                 }
             }
-            KernelMode::Batched | KernelMode::Simd => {
+            KernelMode::Simd => {
                 predict_batch(self.jmem.stream(), t, &mut self.predicted);
             }
         }
@@ -720,23 +692,17 @@ mod tests {
             (out, chip.cycles(), chip.interactions())
         };
         let (scalar, sc_cycles, sc_inter) = run(KernelMode::Scalar);
-        for mode in [KernelMode::Batched, KernelMode::Simd] {
-            let (other, cycles, inter) = run(mode);
-            // Identical accounting — the kernel is a host-side
-            // implementation detail, invisible to the simulated hardware.
-            assert_eq!(sc_cycles, cycles);
-            assert_eq!(sc_inter, inter);
-            for k in 0..48 {
-                for c in 0..3 {
-                    assert_eq!(
-                        scalar[k].acc[c].mant(),
-                        other[k].acc[c].mant(),
-                        "i={k} mode={mode:?}"
-                    );
-                    assert_eq!(scalar[k].jerk[c].mant(), other[k].jerk[c].mant());
-                }
-                assert_eq!(scalar[k].pot.mant(), other[k].pot.mant());
+        let (simd, cycles, inter) = run(KernelMode::Simd);
+        // Identical accounting — the kernel is a host-side
+        // implementation detail, invisible to the simulated hardware.
+        assert_eq!(sc_cycles, cycles);
+        assert_eq!(sc_inter, inter);
+        for k in 0..48 {
+            for c in 0..3 {
+                assert_eq!(scalar[k].acc[c].mant(), simd[k].acc[c].mant(), "i={k}");
+                assert_eq!(scalar[k].jerk[c].mant(), simd[k].jerk[c].mant());
             }
+            assert_eq!(scalar[k].pot.mant(), simd[k].pot.mant());
         }
     }
 
@@ -757,29 +723,22 @@ mod tests {
                 .unwrap()
         };
         let mut sc_lists = Vec::new();
-        let mut bt_lists = Vec::new();
-        let scalar = run(KernelMode::Scalar, &mut sc_lists);
-        let batched = run(KernelMode::Batched, &mut bt_lists);
-        assert_eq!(sc_lists, bt_lists);
-        assert!(sc_lists.iter().any(|l| !l.is_empty()));
-        for k in 0..8 {
-            assert_eq!(scalar[k].acc[0].mant(), batched[k].acc[0].mant());
-            assert_eq!(scalar[k].pot.mant(), batched[k].pot.mant());
-        }
         let mut simd_lists = Vec::new();
+        let scalar = run(KernelMode::Scalar, &mut sc_lists);
         let simd = run(KernelMode::Simd, &mut simd_lists);
         assert_eq!(sc_lists, simd_lists);
+        assert!(sc_lists.iter().any(|l| !l.is_empty()));
         for k in 0..8 {
             assert_eq!(scalar[k].acc[0].mant(), simd[k].acc[0].mant());
             assert_eq!(scalar[k].pot.mant(), simd[k].pot.mant());
         }
         // A reused buffer is refilled identically (capacity retained, no
         // stale entries), and shrinks to the new i-count when smaller.
-        let again = run(KernelMode::Batched, &mut bt_lists);
-        assert_eq!(bt_lists, sc_lists);
+        let again = run(KernelMode::Simd, &mut simd_lists);
+        assert_eq!(simd_lists, sc_lists);
         assert_eq!(again.len(), 8);
-        let mut small = run_small(&mass, &pos, &vel, &mut bt_lists);
-        assert_eq!(bt_lists.len(), 1);
+        let mut small = run_small(&mass, &pos, &vel, &mut simd_lists);
+        assert_eq!(simd_lists.len(), 1);
         assert_eq!(small.remove(0).pot.mant(), scalar[0].pot.mant());
     }
 

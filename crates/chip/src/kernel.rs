@@ -1,12 +1,14 @@
-//! The batched structure-of-arrays force kernel.
+//! The batched structure-of-arrays layout, the kernel selector, and the
+//! entry points pinned to the portable lanes.
 //!
 //! The scalar pipeline in [`crate::pipeline::interact`] is the **reference
 //! oracle**: one `(i, j)` pair per call, wrapped operands, a `Result` per
 //! accumulator add.  That faithfulness costs host wall-clock — every
 //! virtual second the benchmarks report is paid for in this loop — so the
-//! chip also carries this batched kernel, which evaluates one i-register
-//! against the *whole* j-batch with the same arithmetic but none of the
-//! per-pair overhead:
+//! chip also carries one batched datapath, the generic lane row in
+//! [`crate::kernel_simd`], which evaluates one i-register against the
+//! *whole* j-batch with the same arithmetic but none of the per-pair
+//! overhead:
 //!
 //! * the predicted j-particles are decoded **once per pass** into parallel
 //!   arrays ([`SoaBatch`]): quantised mass, raw fixed-point position words,
@@ -17,45 +19,43 @@
 //!   values already quantised in memory (mass, velocities, ε²) are not
 //!   re-quantised, which is a no-op by idempotence, not a shortcut;
 //! * `x^(-3/2)` and `x^(-1/2)` come from **one** table decomposition and
-//!   index ([`RsqrtCubedUnit::eval_both`]), bit-identical to two separate
-//!   evaluations;
-//! * accumulation goes into raw `i64` block-FP lanes ([`BatchLane`]) with
+//!   index (`RsqrtCubedUnit::eval_both_lanes`), bit-identical to two
+//!   separate evaluations;
+//! * accumulation goes into raw `i64` block-FP lanes (`BatchLane`) with
 //!   the window scale hoisted out of the loop and overflow deferred to
 //!   sticky flags checked **once per chunk** — no `Result` on the happy
 //!   path.  A flagged row is discarded and re-run through the scalar
 //!   oracle, which reproduces the exact `BlockFpError` the host's retry
 //!   ladder expects (same j order ⇒ same first failure).
 //!
-//! Bitwise identity with the oracle is therefore structural, and it is
+//! [`batched_row`] / [`batched_row_nb`] run that datapath on the
+//! `Portable` lane instance whatever the host's dispatch would pick;
+//! [`crate::kernel_simd::simd_row`] runs it on the widest instance the
+//! host has.  Bitwise identity with the oracle is structural, and it is
 //! enforced by proptests and by whole-schedule A/B runs in `tests/`.
 
-use grape6_arith::blockfp::{BatchLane, BlockFpError};
-use grape6_arith::fixed::PosFix;
+use grape6_arith::blockfp::BlockFpError;
 use grape6_arith::rsqrt::RsqrtCubedUnit;
-use grape6_arith::{quantize_sig_branchless, PIPE_SIG_BITS};
 
+use crate::kernel_simd::portable_row;
 use crate::pipeline::{interact, ExpSet, HwIParticle, PartialForce};
 use crate::predictor::PredictedJ;
 
 /// Which force-pass implementation a chip runs.
 ///
-/// All variants produce **bit-identical** forces, neighbour lists, and
+/// Both variants produce **bit-identical** forces, neighbour lists, and
 /// error values; only host wall-clock differs.  The selector threads
 /// through every layer ([`crate::Chip`], `grape6-system`, `grape6-core`)
-/// so any schedule can run on any kernel.
+/// so any schedule can run on either datapath.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelMode {
     /// Per-pair scalar pipeline — the reference oracle.
     Scalar,
-    /// Batched SoA kernel — bitwise identical, relies on the
-    /// auto-vectoriser for lane parallelism.
-    Batched,
-    /// Hand-rolled `core::arch` SIMD lanes (AVX2 / AVX-512, selected at
-    /// runtime via `is_x86_feature_detected!`) over the batched SoA
-    /// layout — bitwise identical, and the bits no longer depend on the
-    /// compiler's auto-vectorisation choices.  Falls back to the batched
-    /// path when no SIMD level is available (non-x86 hosts, or
-    /// `GRAPE6_FORCE_SCALAR=1`).  The default.
+    /// The generic lane row over the batched SoA layout, on the widest
+    /// lane instance the host has: AVX-512 or AVX2 `core::arch` registers
+    /// where `is_x86_feature_detected!` finds them, the portable 4-lane
+    /// arrays everywhere else (non-x86 hosts, `GRAPE6_FORCE_SCALAR=1`).
+    /// The level is chosen by dispatch, never by the caller.  The default.
     #[default]
     Simd,
 }
@@ -65,7 +65,6 @@ impl KernelMode {
     pub const fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Batched => "batched",
             Self::Simd => "simd",
         }
     }
@@ -91,7 +90,7 @@ pub struct SoaBatch {
     pub(crate) vz: Vec<f64>,
 }
 
-/// Widest SIMD lane count the arrays are padded for (AVX-512: 8 × f64).
+/// Widest lane count the arrays are padded for (AVX-512: 8 × f64).
 pub(crate) const MAX_LANES: usize = 8;
 
 impl SoaBatch {
@@ -100,7 +99,7 @@ impl SoaBatch {
     /// pure layout transpose.
     ///
     /// The arrays are padded with zero-mass particles at the origin up to
-    /// a multiple of [`MAX_LANES`] so the SIMD kernel's full-width loads
+    /// a multiple of `MAX_LANES` so the lane kernel's full-width loads
     /// never read past the end.  Padding never reaches an accumulator —
     /// the kernels bound their accumulation and neighbour loops by
     /// [`len`](Self::len), which reports the *real* count.
@@ -141,7 +140,7 @@ impl SoaBatch {
         }
     }
 
-    /// Number of j-particles in the batch (excluding SIMD padding).
+    /// Number of j-particles in the batch (excluding lane padding).
     pub fn len(&self) -> usize {
         self.n
     }
@@ -152,13 +151,14 @@ impl SoaBatch {
     }
 }
 
-/// j-particles per inner chunk: the stage-split scratch arrays (~17 lanes
-/// of `CHUNK` doubles) must stay L1-resident, the deferred overflow check
+/// j-particles per inner chunk: the chunk scratch arrays (8 lanes of
+/// `CHUNK` doubles) must stay L1-resident, the deferred overflow check
 /// should bail out early on a hopeless window, and the per-chunk loop
-/// overhead must vanish.  128 ⇒ ~17 KiB of scratch.
+/// overhead must vanish.  128 ⇒ 8 KiB of scratch.
 pub(crate) const CHUNK: usize = 128;
 
-/// Evaluate one i-register against the whole batch (plain force pass).
+/// Evaluate one i-register against the whole batch (plain force pass) on
+/// the portable lanes, whatever dispatch would pick.
 ///
 /// `Ok(pf)` is bit-identical to the scalar `interact` loop; `Err` is the
 /// exact error that loop would have returned (produced by re-running the
@@ -171,16 +171,16 @@ pub fn batched_row(
     exps: ExpSet,
 ) -> Result<PartialForce, BlockFpError> {
     let mut no_nb = Vec::new();
-    match row::<false>(rsqrt, ip, batch, exps, 0.0, &mut no_nb) {
+    match portable_row(rsqrt, ip, batch, exps, None, &mut no_nb) {
         Some(pf) => Ok(pf),
         None => scalar_fallback(rsqrt, ip, predicted, exps),
     }
 }
 
 /// Evaluate one i-register against the whole batch with neighbour
-/// detection: local addresses of every j with unsoftened `r² < h2i`
-/// (self-pairs, `r = 0`, are not flagged) are appended to `nb`, which is
-/// cleared first.
+/// detection, on the portable lanes: local addresses of every j with
+/// unsoftened `r² < h2i` (self-pairs, `r = 0`, are not flagged) are
+/// appended to `nb`, which is cleared first.
 pub fn batched_row_nb(
     rsqrt: &RsqrtCubedUnit,
     ip: &HwIParticle,
@@ -191,7 +191,7 @@ pub fn batched_row_nb(
     nb: &mut Vec<u32>,
 ) -> Result<PartialForce, BlockFpError> {
     nb.clear();
-    match row::<true>(rsqrt, ip, batch, exps, h2i, nb) {
+    match portable_row(rsqrt, ip, batch, exps, Some(h2i), nb) {
         Some(pf) => Ok(pf),
         None => {
             // The partially filled list belongs to a discarded row.
@@ -204,7 +204,7 @@ pub fn batched_row_nb(
 /// Re-run a flagged row through the scalar oracle to recover the exact
 /// error value.  The oracle sees the same j-sequence, so it fails at the
 /// same first-overflowing summand; if it somehow completes (it cannot,
-/// by the [`BatchLane`] flag contract), its result is still the correct
+/// by the `BatchLane` flag contract), its result is still the correct
 /// bits and is returned as such.
 pub(crate) fn scalar_fallback(
     rsqrt: &RsqrtCubedUnit,
@@ -217,313 +217,4 @@ pub(crate) fn scalar_fallback(
         interact(rsqrt, ip, jp, &mut pf)?;
     }
     Ok(pf)
-}
-
-/// The inner loop.  Returns `None` if any accumulator window overflowed.
-///
-/// Every line mirrors a stage of `pipeline::interact`; `q` is the single
-/// rounding each `PipeFloat` operation performs.  The loop is
-/// **stage-split**: each pipeline stage runs as its own flat pass over a
-/// chunk of `CHUNK` j-particles with intermediates parked in stack
-/// arrays.  Per *value* the operation chain (and hence every rounding) is
-/// exactly the scalar pipeline's, so the split cannot change bits — what
-/// it changes is that every stage except the table lookup becomes a
-/// branch-free elementwise loop the compiler can auto-vectorise, and the
-/// table-lookup stage becomes a tight gather loop.  Per-lane accumulation
-/// stays sequential in ascending j order, so the sticky overflow flags
-/// trip exactly where the oracle's `Result` would.
-// The indexed `for k in 0..cl` stage loops are the point: uniform
-// counted loops over equal-length slices are what the auto-vectoriser
-// recognises, and the many-array zips clippy would prefer obscure that.
-#[allow(clippy::needless_range_loop)]
-#[inline]
-pub(crate) fn row<const NB: bool>(
-    rsqrt: &RsqrtCubedUnit,
-    ip: &HwIParticle,
-    batch: &SoaBatch,
-    exps: ExpSet,
-    h2i: f64,
-    nb: &mut Vec<u32>,
-) -> Option<PartialForce> {
-    // The branchless quantiser is bit-identical to the `quantize_sig` the
-    // `PipeFloat` ops call; it exists because the reference's rounding
-    // branch is a near-coin-flip here and its mispredicts would dominate
-    // this loop.
-    #[inline(always)]
-    fn q(x: f64) -> f64 {
-        quantize_sig_branchless(x, PIPE_SIG_BITS)
-    }
-    // i-side invariants, hoisted: raw position words, quantised velocity
-    // and softening (quantised at `HwIParticle::from_host`).
-    let ix = ip.pos.x.raw();
-    let iy = ip.pos.y.raw();
-    let iz = ip.pos.z.raw();
-    let [ivx, ivy, ivz] = ip.vel;
-    let eps2 = ip.eps2;
-    // Seven lanes with the window scale precomputed.
-    let mut lax = BatchLane::new(exps.acc);
-    let mut lay = BatchLane::new(exps.acc);
-    let mut laz = BatchLane::new(exps.acc);
-    let mut ljx = BatchLane::new(exps.jerk);
-    let mut ljy = BatchLane::new(exps.jerk);
-    let mut ljz = BatchLane::new(exps.jerk);
-    let mut lp = BatchLane::new(exps.pot);
-
-    // Chunk-sized stage scratch.
-    let mut dx = [0.0f64; CHUNK];
-    let mut dy = [0.0f64; CHUNK];
-    let mut dz = [0.0f64; CHUNK];
-    let mut dvx = [0.0f64; CHUNK];
-    let mut dvy = [0.0f64; CHUNK];
-    let mut dvz = [0.0f64; CHUNK];
-    let mut r2_raw = [0.0f64; CHUNK];
-    let mut r2 = [0.0f64; CHUNK];
-    let mut rinv3 = [0.0f64; CHUNK];
-    let mut rinv = [0.0f64; CHUNK];
-    let mut ax = [0.0f64; CHUNK];
-    let mut ay = [0.0f64; CHUNK];
-    let mut az = [0.0f64; CHUNK];
-    let mut jx = [0.0f64; CHUNK];
-    let mut jy = [0.0f64; CHUNK];
-    let mut jz = [0.0f64; CHUNK];
-    let mut pot = [0.0f64; CHUNK];
-
-    let n = batch.len();
-    let mut j0 = 0;
-    while j0 < n {
-        let cl = (n - j0).min(CHUNK);
-        let px = &batch.px[j0..j0 + cl];
-        let py = &batch.py[j0..j0 + cl];
-        let pz = &batch.pz[j0..j0 + cl];
-        let vx = &batch.vx[j0..j0 + cl];
-        let vy = &batch.vy[j0..j0 + cl];
-        let vz = &batch.vz[j0..j0 + cl];
-        let mass = &batch.mass[j0..j0 + cl];
-        // Stage 1: exact wrapping fixed-point delta, one rounding to f64,
-        // then quantise (= `PosVec::exact_delta_to` + `PipeFloat::new`).
-        for k in 0..cl {
-            dx[k] = q(px[k].wrapping_sub(ix) as f64 * PosFix::RESOLUTION);
-            dy[k] = q(py[k].wrapping_sub(iy) as f64 * PosFix::RESOLUTION);
-            dz[k] = q(pz[k].wrapping_sub(iz) as f64 * PosFix::RESOLUTION);
-        }
-        for k in 0..cl {
-            dvx[k] = q(vx[k] - ivx);
-            dvy[k] = q(vy[k] - ivy);
-            dvz[k] = q(vz[k] - ivz);
-        }
-        // Stage 2: r² through the two-level adder tree.
-        for k in 0..cl {
-            let rr = q(q(q(dx[k] * dx[k]) + q(dy[k] * dy[k])) + q(dz[k] * dz[k]));
-            r2_raw[k] = rr;
-            r2[k] = q(rr + eps2);
-        }
-        // Stage 3: the table gather — one decomposition serves both
-        // functional outputs.
-        for k in 0..cl {
-            let (e32, e12) = rsqrt.eval_both(r2[k]);
-            rinv3[k] = q(e32);
-            rinv[k] = q(e12);
-        }
-        // Stage 4: multiplier tree.
-        for k in 0..cl {
-            let m = mass[k];
-            let mr3 = q(m * rinv3[k]);
-            ax[k] = q(mr3 * dx[k]);
-            ay[k] = q(mr3 * dy[k]);
-            az[k] = q(mr3 * dz[k]);
-            let rv = q(q(q(dx[k] * dvx[k]) + q(dy[k] * dvy[k])) + q(dz[k] * dvz[k]));
-            let rinv2 = q(rinv[k] * rinv[k]);
-            let beta = q(q(3.0 * rv) * rinv2);
-            jx[k] = q(q(mr3 * dvx[k]) - q(beta * ax[k]));
-            jy[k] = q(q(mr3 * dvy[k]) - q(beta * ay[k]));
-            jz[k] = q(q(mr3 * dvz[k]) - q(beta * az[k]));
-            pot[k] = -q(m * rinv[k]);
-        }
-        // Stage 5: block-FP accumulation, overflow deferred.  Lane-major,
-        // each lane in ascending j order — the same add sequence per lane
-        // as the scalar pipeline, so the sticky flags are exact.
-        for k in 0..cl {
-            lax.add(ax[k]);
-        }
-        for k in 0..cl {
-            lay.add(ay[k]);
-        }
-        for k in 0..cl {
-            laz.add(az[k]);
-        }
-        for k in 0..cl {
-            ljx.add(jx[k]);
-        }
-        for k in 0..cl {
-            ljy.add(jy[k]);
-        }
-        for k in 0..cl {
-            ljz.add(jz[k]);
-        }
-        for k in 0..cl {
-            lp.add(pot[k]);
-        }
-        if NB {
-            for k in 0..cl {
-                if r2_raw[k] < h2i && r2_raw[k] > 0.0 {
-                    nb.push((j0 + k) as u32);
-                }
-            }
-        }
-        // Deferred overflow check, once per chunk.
-        if lax.flagged()
-            || lay.flagged()
-            || laz.flagged()
-            || ljx.flagged()
-            || ljy.flagged()
-            || ljz.flagged()
-            || lp.flagged()
-        {
-            return None;
-        }
-        j0 += cl;
-    }
-    Some(PartialForce {
-        acc: [lax.into_accum()?, lay.into_accum()?, laz.into_accum()?],
-        jerk: [ljx.into_accum()?, ljy.into_accum()?, ljz.into_accum()?],
-        pot: lp.into_accum()?,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::jmem::HwJParticle;
-    use crate::predictor::predict;
-    use nbody_core::force::JParticle;
-    use nbody_core::Vec3;
-
-    fn predicted_set(n: usize, t: f64) -> Vec<PredictedJ> {
-        let mut s = 0.731f64;
-        let mut next = || {
-            s = (s * 9301.0 + 0.2113).fract();
-            s - 0.5
-        };
-        (0..n)
-            .map(|_| {
-                let hw = HwJParticle::from_host(&JParticle {
-                    mass: 0.01 + (next() + 0.5) * 0.02,
-                    t0: 0.0,
-                    pos: Vec3::new(next(), next(), next()),
-                    vel: Vec3::new(next(), next(), next()) * 0.4,
-                    acc: Vec3::new(next(), next(), next()) * 0.05,
-                    jerk: Vec3::new(next(), next(), next()) * 0.01,
-                    snap: Vec3::ZERO,
-                });
-                predict(&hw, t)
-            })
-            .collect()
-    }
-
-    fn assert_pf_bits_equal(a: &PartialForce, b: &PartialForce) {
-        for c in 0..3 {
-            assert_eq!(a.acc[c].mant(), b.acc[c].mant(), "acc[{c}]");
-            assert_eq!(a.jerk[c].mant(), b.jerk[c].mant(), "jerk[{c}]");
-        }
-        assert_eq!(a.pot.mant(), b.pot.mant(), "pot");
-    }
-
-    #[test]
-    fn batched_row_matches_scalar_bitwise() {
-        let rsqrt = RsqrtCubedUnit::default();
-        // Cross a chunk boundary so the per-chunk flag check is exercised.
-        let predicted = predicted_set(CHUNK + 37, 0.0625);
-        let mut batch = SoaBatch::default();
-        batch.decode(&predicted);
-        let exps = ExpSet::from_magnitudes(30.0, 300.0, 30.0);
-        for k in 0..8 {
-            let ip = HwIParticle::from_host(
-                Vec3::new(0.05 * k as f64 - 0.2, -0.1, 0.3),
-                Vec3::new(0.1, -0.2, 0.05 * k as f64),
-                1e-4,
-            );
-            let got = batched_row(&rsqrt, &ip, &batch, &predicted, exps).unwrap();
-            let mut want = PartialForce::new(exps);
-            for jp in &predicted {
-                interact(&rsqrt, &ip, jp, &mut want).unwrap();
-            }
-            assert_pf_bits_equal(&got, &want);
-        }
-    }
-
-    #[test]
-    fn batched_row_nb_matches_scalar_bitwise_including_lists() {
-        let rsqrt = RsqrtCubedUnit::default();
-        let predicted = predicted_set(300, 0.0);
-        let mut batch = SoaBatch::default();
-        batch.decode(&predicted);
-        let exps = ExpSet::from_magnitudes(100.0, 1000.0, 100.0);
-        let h2 = 0.09;
-        let ip = HwIParticle::from_host(Vec3::new(0.1, 0.0, -0.1), Vec3::ZERO, 1e-4);
-        let mut nb = Vec::new();
-        let got = batched_row_nb(&rsqrt, &ip, &batch, &predicted, exps, h2, &mut nb).unwrap();
-        let mut want = PartialForce::new(exps);
-        let mut want_nb = Vec::new();
-        for (addr, jp) in predicted.iter().enumerate() {
-            let r2 = interact(&rsqrt, &ip, jp, &mut want).unwrap();
-            if r2 < h2 && r2 > 0.0 {
-                want_nb.push(addr as u32);
-            }
-        }
-        assert_pf_bits_equal(&got, &want);
-        assert_eq!(nb, want_nb);
-        assert!(!nb.is_empty(), "test data should have neighbours");
-    }
-
-    #[test]
-    fn batched_row_reproduces_scalar_overflow_error() {
-        let rsqrt = RsqrtCubedUnit::default();
-        // A very close pair with a deliberately tiny acc window.
-        let ip = HwIParticle::from_host(Vec3::ZERO, Vec3::ZERO, 0.0);
-        let predicted = vec![{
-            let hw = HwJParticle::from_host(&JParticle {
-                mass: 1.0,
-                t0: 0.0,
-                pos: Vec3::new(1e-4, 0.0, 0.0),
-                ..Default::default()
-            });
-            predict(&hw, 0.0)
-        }];
-        let mut batch = SoaBatch::default();
-        batch.decode(&predicted);
-        let exps = ExpSet {
-            acc: 2,
-            jerk: 40,
-            pot: 20,
-        };
-        let got = batched_row(&rsqrt, &ip, &batch, &predicted, exps).unwrap_err();
-        let mut pf = PartialForce::new(exps);
-        let want = interact(&rsqrt, &ip, &predicted[0], &mut pf).unwrap_err();
-        assert_eq!(got, want, "batched error must equal the oracle's");
-    }
-
-    #[test]
-    fn softening_only_self_interaction_matches() {
-        let rsqrt = RsqrtCubedUnit::default();
-        let pos = Vec3::new(0.25, 0.25, 0.25);
-        let hw = HwJParticle::from_host(&JParticle {
-            mass: 2.0,
-            t0: 0.0,
-            pos,
-            ..Default::default()
-        });
-        let predicted = vec![predict(&hw, 0.0)];
-        let mut batch = SoaBatch::default();
-        batch.decode(&predicted);
-        let ip = HwIParticle::from_host(pos, Vec3::ZERO, 0.01);
-        let exps = ExpSet::DEFAULT;
-        let got = batched_row(&rsqrt, &ip, &batch, &predicted, exps).unwrap();
-        let mut want = PartialForce::new(exps);
-        interact(&rsqrt, &ip, &predicted[0], &mut want).unwrap();
-        assert_pf_bits_equal(&got, &want);
-        // And the self-pair is not a neighbour even inside h².
-        let mut nb = Vec::new();
-        batched_row_nb(&rsqrt, &ip, &batch, &predicted, exps, 1.0, &mut nb).unwrap();
-        assert!(nb.is_empty());
-    }
 }

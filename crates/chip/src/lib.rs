@@ -12,13 +12,14 @@
 //! * [`pipeline`] — one force-calculation pipeline evaluating eqs. (1)–(3)
 //!   in reduced-precision arithmetic with exact fixed-point coordinate
 //!   differences and a table-driven `x^(-3/2)` unit;
-//! * [`kernel`] — the batched structure-of-arrays force kernel: the same
-//!   arithmetic as [`pipeline`] evaluated batch-at-a-time for host speed,
-//!   bitwise identical to the scalar oracle and selectable per chip via
-//!   [`KernelMode`];
-//! * [`kernel_simd`] — the hand-rolled `core::arch` SIMD lanes (AVX2 /
-//!   AVX-512, runtime-dispatched) over the same SoA layout, bitwise
-//!   identical to both of the above;
+//! * [`kernel`] — the batched structure-of-arrays layout the lane kernel
+//!   streams, the per-chip [`KernelMode`] selector, and the entry points
+//!   pinned to the portable lanes;
+//! * [`kernel_simd`] — the one batched datapath: the same arithmetic as
+//!   [`pipeline`] written once over generic lanes and evaluated
+//!   batch-at-a-time for host speed, instantiated for portable arrays and
+//!   for AVX2 / AVX-512 `core::arch` registers (runtime-dispatched),
+//!   bitwise identical to the scalar oracle on every instance;
 //! * [`chip`] — the assembled chip: six pipelines × 8-way virtual
 //!   multipipelining = forces on 48 i-particles per pass, block
 //!   floating-point partial-force output, and a cycle counter that feeds

@@ -174,9 +174,9 @@ impl G6 {
         }
     }
 
-    /// Select the force-pass kernel (runtime-dispatched SIMD default,
-    /// batched SoA, or the scalar oracle) on the whole machine.
-    /// Bitwise-invisible in every mode.
+    /// Select the force-pass kernel (the runtime-dispatched lane kernel,
+    /// the default, or the scalar oracle) on the whole machine.
+    /// Bitwise-invisible in either mode.
     ///
     /// Only valid while Idle — the pass in flight owns the engine.
     pub fn set_kernel_mode(&mut self, mode: KernelMode) -> Result<(), SessionError> {

@@ -95,8 +95,8 @@ pub struct Grape6Engine {
     timebase: Option<EngineTimebase>,
     /// Virtual-time cursor the engine's spans advance.
     vt: f64,
-    /// Force-pass kernel the chips run (batched SoA by default; the scalar
-    /// oracle for A/B verification).  Bitwise-invisible, so deliberately
+    /// Force-pass kernel the chips run (the dispatched lane kernel by
+    /// default; the scalar oracle for A/B verification).  Bitwise-invisible, so deliberately
     /// *not* part of the checkpoint state.
     kernel: KernelMode,
     /// Set when a j-memory reload failed after masking: the hardware no
@@ -306,10 +306,9 @@ impl Grape6Engine {
     }
 
     /// Select the force-pass kernel on every chip: the runtime-dispatched
-    /// SIMD-lane kernel (default), the batched SoA kernel, or the scalar
-    /// reference oracle.  All are bitwise identical — each kernel performs
-    /// the same rounded operations in the same order per (i, j) pair — so,
-    /// like [`Grape6Engine::set_board_parallel`], this only changes host
+    /// lane kernel (default) or the scalar reference oracle.  Both are
+    /// bitwise identical — each kernel performs the same rounded
+    /// operations in the same order per (i, j) pair — so, like [`Grape6Engine::set_board_parallel`], this only changes host
     /// wall-clock, never results or cycle accounting.  The mode is host
     /// configuration, not machine state: it is deliberately absent from
     /// checkpoints and may be switched freely mid-run.
@@ -717,7 +716,6 @@ impl Grape6Engine {
                         retries: (widen_attempts + recomputes) as u64,
                         kernel: Some(match self.kernel {
                             KernelMode::Scalar => KernelTag::Scalar,
-                            KernelMode::Batched => KernelTag::Batched,
                             KernelMode::Simd => KernelTag::Simd,
                         }),
                         ..Default::default()

@@ -404,15 +404,6 @@ impl Farm {
         })
     }
 
-    /// Build a farm.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Farm::open` with a `FarmConfig::builder()` config"
-    )]
-    pub fn new(cfg: FarmConfig) -> Result<Self, FarmError> {
-        Self::open(cfg)
-    }
-
     /// Register a tenant from a validated spec.  Returns the id used in
     /// [`submit`](Self::submit).
     pub fn register(&mut self, spec: TenantSpec) -> Result<TenantId, FarmError> {
@@ -436,16 +427,6 @@ impl Farm {
             },
         );
         Ok(id)
-    }
-
-    /// Register a tenant with a scheduler weight (`0` is clamped to 1).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Farm::register` with a typed `TenantSpec`"
-    )]
-    pub fn add_tenant(&mut self, weight: u32) -> TenantId {
-        self.register(TenantSpec::new(weight.max(1)))
-            .expect("clamped weight is always valid")
     }
 
     /// The configuration this farm was opened with.
@@ -1382,20 +1363,6 @@ mod tests {
             farm.take_result(victim),
             Err(FarmError::JobFailed { .. })
         ));
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let mut cfg = FarmConfig::new(unit());
-        cfg.boards = 1;
-        let mut farm = Farm::new(cfg).unwrap();
-        let t0 = farm.add_tenant(0); // clamped to weight 1
-        let sid = farm.submit(t0, job(16, 42, 0.25)).unwrap();
-        let report = farm.run().unwrap();
-        assert!(report.all_completed());
-        let got = report.outcomes[&sid].particles().unwrap();
-        assert!(bits_equal(got, &dedicated(16, 42, 0.25)));
     }
 
     #[test]

@@ -297,19 +297,6 @@ pub enum SessionOutcome {
 }
 
 impl SessionOutcome {
-    /// Final particles, if the session completed.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Farm::take_result`, which returns a typed `JobResult` \
-                for both the in-process and wire paths"
-    )]
-    pub fn particles(&self) -> Option<&ParticleSet> {
-        match self {
-            Self::Completed { particles, .. } => Some(particles),
-            Self::Failed { .. } => None,
-        }
-    }
-
     /// True if the session ran to its target time.
     pub fn is_completed(&self) -> bool {
         matches!(self, Self::Completed { .. })

@@ -169,9 +169,9 @@ pub trait GrapeUnit: Send {
         let _ = parallel;
     }
 
-    /// Select the force-pass kernel ([`KernelMode::Scalar`] oracle, the
-    /// batched SoA kernel, or the runtime-dispatched SIMD-lane kernel),
-    /// recursively.  Results are bitwise identical in every mode — each
+    /// Select the force-pass kernel ([`KernelMode::Scalar`] oracle or the
+    /// runtime-dispatched lane kernel), recursively.  Results are
+    /// bitwise identical in either mode — each
     /// kernel performs the same rounded operations in the same order per
     /// (i, j) pair — so, like [`GrapeUnit::set_parallel`], this only
     /// changes host wall-clock.  Exotic implementations may ignore it.

@@ -128,9 +128,8 @@ impl Phase {
 pub enum KernelTag {
     /// The per-interaction scalar reference oracle.
     Scalar,
-    /// The batched structure-of-arrays kernel.
-    Batched,
-    /// The hand-rolled SIMD-lane kernel (runtime-dispatched AVX2/AVX-512).
+    /// The lane kernel over the batched SoA layout (runtime-dispatched
+    /// AVX-512 / AVX2 / portable lanes).
     Simd,
 }
 
@@ -139,7 +138,6 @@ impl KernelTag {
     pub fn name(self) -> &'static str {
         match self {
             KernelTag::Scalar => "scalar",
-            KernelTag::Batched => "batched",
             KernelTag::Simd => "simd",
         }
     }
@@ -283,7 +281,6 @@ mod tests {
     #[test]
     fn kernel_tags_have_stable_names() {
         assert_eq!(KernelTag::Scalar.name(), "scalar");
-        assert_eq!(KernelTag::Batched.name(), "batched");
         assert_eq!(KernelTag::Simd.name(), "simd");
         // Untagged is the default so non-pipeline spans need no opt-out.
         assert_eq!(SpanCounters::default().kernel, None);

@@ -13,11 +13,15 @@
 //! checkpoint/restore cycle in the middle of an overlapped run.
 //!
 //! The same matrix is crossed with the force-kernel selector
-//! ([`KernelMode`]): the batched SoA kernel and the runtime-dispatched
-//! SIMD-lane kernel must land on the same bits as the scalar oracle on
+//! ([`KernelMode`]) and the lane level: the lane kernel — on the portable
+//! instance (dispatch forced off) and on whatever level the host
+//! dispatches to — must land on the same bits as the scalar oracle on
 //! every schedule, on a degraded machine, and across a
 //! checkpoint/restore that switches kernels mid-run.
 
+use std::sync::{Mutex, MutexGuard};
+
+use grape6::arith::simd::{set_dispatch_override, DispatchOverride};
 use grape6::fault::{FaultConfig, FaultPlan, MachineGeometry};
 use grape6_ckpt::Checkpoint;
 use grape6_core::checkpoint::{capture, restore};
@@ -37,6 +41,36 @@ fn machine() -> MachineConfig {
         .build()
         .unwrap()
 }
+
+/// The dispatch override is process-global and the tests of this binary
+/// run on parallel threads: whoever pins a lane level holds this lock
+/// until the level is back at `Auto`, so a `portable` row really runs the
+/// portable lanes and a `simd` row really runs the host's level.
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+struct PinnedLevel(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl PinnedLevel {
+    fn new(level: DispatchOverride) -> Self {
+        // A failed test poisons the lock but leaves nothing behind it
+        // (`Drop` resets the level while unwinding): keep the others
+        // reporting their own verdicts.
+        let guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_dispatch_override(level);
+        Self(guard)
+    }
+}
+
+impl Drop for PinnedLevel {
+    fn drop(&mut self) {
+        set_dispatch_override(DispatchOverride::Auto);
+    }
+}
+
+/// The lane kernel on the portable instance / on the dispatched level.
+const PORTABLE: (KernelMode, DispatchOverride) = (KernelMode::Simd, DispatchOverride::ForceScalar);
+const SIMD: (KernelMode, DispatchOverride) = (KernelMode::Simd, DispatchOverride::Auto);
+const SCALAR: (KernelMode, DispatchOverride) = (KernelMode::Scalar, DispatchOverride::Auto);
 
 /// Byte-level equality of the full integration state.
 fn assert_bits_equal(a: &ParticleSet, b: &ParticleSet, what: &str) {
@@ -81,9 +115,10 @@ fn run_schedule(
     blocksteps: usize,
     board_parallel: bool,
     overlap: bool,
-    kernel: KernelMode,
+    (kernel, level): (KernelMode, DispatchOverride),
     plan: Option<&FaultPlan>,
 ) -> (Vec<u64>, ParticleSet) {
+    let _pinned = PinnedLevel::new(level);
     let cfg = machine();
     let set = plummer_model(n, &mut StdRng::seed_from_u64(seed));
     let mut engine = match plan {
@@ -112,14 +147,14 @@ fn three_schedules_are_bitwise_identical_over_100_blocksteps() {
     // combination must land on its exact bits.
     let n = 64;
     let steps = 110;
-    let (t_ref, reference) = run_schedule(n, 5, steps, false, false, KernelMode::Scalar, None);
+    let (t_ref, reference) = run_schedule(n, 5, steps, false, false, SCALAR, None);
     for (label, board_parallel, overlap, kernel) in [
-        ("overlapped / scalar", true, true, KernelMode::Scalar),
-        ("serial / batched", false, false, KernelMode::Batched),
-        ("parallel / batched", true, false, KernelMode::Batched),
-        ("overlapped / batched", true, true, KernelMode::Batched),
-        ("serial / simd", false, false, KernelMode::Simd),
-        ("overlapped / simd", true, true, KernelMode::Simd),
+        ("overlapped / scalar", true, true, SCALAR),
+        ("serial / portable", false, false, PORTABLE),
+        ("parallel / portable", true, false, PORTABLE),
+        ("overlapped / portable", true, true, PORTABLE),
+        ("serial / simd", false, false, SIMD),
+        ("overlapped / simd", true, true, SIMD),
     ] {
         let (t, set) = run_schedule(n, 5, steps, board_parallel, overlap, kernel, None);
         assert_eq!(t_ref, t, "{label}: block-time sequence diverged");
@@ -146,22 +181,12 @@ fn schedules_stay_bitwise_identical_under_an_active_fault_plan() {
     assert!(!plan.is_empty());
     let n = 64;
     let steps = 100;
-    let (t_clean, clean) = run_schedule(n, 5, steps, false, false, KernelMode::Scalar, None);
+    let (t_clean, clean) = run_schedule(n, 5, steps, false, false, SCALAR, None);
     for (label, board_parallel, overlap, kernel) in [
-        ("degraded serial / scalar", false, false, KernelMode::Scalar),
-        (
-            "degraded parallel / batched",
-            true,
-            false,
-            KernelMode::Batched,
-        ),
-        (
-            "degraded overlapped / batched",
-            true,
-            true,
-            KernelMode::Batched,
-        ),
-        ("degraded overlapped / simd", true, true, KernelMode::Simd),
+        ("degraded serial / scalar", false, false, SCALAR),
+        ("degraded parallel / portable", true, false, PORTABLE),
+        ("degraded overlapped / portable", true, true, PORTABLE),
+        ("degraded overlapped / simd", true, true, SIMD),
     ] {
         let (t, set) = run_schedule(n, 5, steps, board_parallel, overlap, kernel, Some(&plan));
         assert_eq!(t_clean, t, "{label}: block-time sequence diverged");
@@ -177,11 +202,14 @@ fn overlapped_run_resumes_bitwise_across_checkpoint_restore() {
     // overlapped run — and the final state matches the serial blocking
     // schedule, closing the loop between all three properties.
     //
-    // The gold run uses the batched kernel; the resumed run is switched
-    // to the scalar oracle, then to the SIMD kernel mid-run.
-    // `KernelMode` is deliberately not checkpoint state — it must be
-    // bitwise-invisible, so a restore (or a live run) may change it
+    // The gold run uses the lane kernel on the portable instance (every
+    // gold step runs with dispatch forced off); the resumed run is
+    // switched to the scalar oracle, then to the lane kernel at the
+    // host's dispatched level mid-run.  `KernelMode` and the lane level
+    // are deliberately not checkpoint state — they must be
+    // bitwise-invisible, so a restore (or a live run) may change them
     // freely.
+    let _pinned = PinnedLevel::new(DispatchOverride::ForceScalar);
     let n = 48;
     let cfg = machine();
     let icfg = IntegratorConfig {
@@ -194,7 +222,7 @@ fn overlapped_run_resumes_bitwise_across_checkpoint_restore() {
         {
             let mut e = Grape6Engine::try_new(&cfg, n).unwrap();
             e.set_board_parallel(true);
-            e.set_kernel_mode(KernelMode::Batched);
+            e.set_kernel_mode(KernelMode::Simd);
             e
         },
         set.clone(),
@@ -216,7 +244,9 @@ fn overlapped_run_resumes_bitwise_across_checkpoint_restore() {
             // Kernel switches are legal at any blockstep boundary.
             resumed.engine_mut().set_kernel_mode(KernelMode::Simd);
         }
+        set_dispatch_override(DispatchOverride::ForceScalar);
         let (tg, _) = gold.try_step_auto().expect("healthy hardware");
+        set_dispatch_override(DispatchOverride::Auto);
         let (tr, _) = resumed.try_step_auto().expect("healthy hardware");
         assert_eq!(tg.to_bits(), tr.to_bits(), "block time at step {step}");
         assert_bits_equal(

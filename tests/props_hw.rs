@@ -100,11 +100,13 @@ proptest! {
         prop_assert_eq!(a[0].pot.mant(), b[0].pot.mant());
     }
 
-    /// The batched SoA kernel and the runtime-dispatched SIMD-lane kernel
-    /// land on the scalar oracle's exact bits — forces *and* neighbour
-    /// lists — for arbitrary particle sets, including a probe coincident
+    /// The lane kernel lands on the scalar oracle's exact bits — forces
+    /// *and* neighbour lists — for arbitrary particle sets (any count,
+    /// multiples of the lane width or not), including a probe coincident
     /// with a j-particle (a softening-only self-interaction when
-    /// `eps2 > 0`, an `r = 0` hardware drop when `eps2 == 0`).
+    /// `eps2 > 0`, an `r = 0` hardware drop when `eps2 == 0`): at chip
+    /// level through whatever lane level the host dispatches to, and at
+    /// row level through the entry points pinned to the portable lanes.
     #[test]
     fn batched_kernel_bitwise_matches_scalar_oracle(
         particles in prop::collection::vec(particle_strategy(), 1..40),
@@ -112,37 +114,66 @@ proptest! {
         eps2 in prop_oneof![Just(0.0f64), 1e-6f64..1e-2],
         h2 in 1e-4f64..0.5,
     ) {
-        let mut scalar_chip = Chip::new(ChipConfig::default());
-        scalar_chip.set_kernel_mode(KernelMode::Scalar);
-        for (k, p) in particles.iter().enumerate() {
-            scalar_chip.load_j(k, p);
-        }
-        scalar_chip.set_time(0.0);
+        use grape6::arith::rsqrt::RsqrtCubedUnit;
+        use grape6::chip::jmem::HwJParticle;
+        use grape6::chip::kernel::{batched_row, batched_row_nb, SoaBatch};
+        use grape6::chip::pipeline::{interact, PartialForce};
+        use grape6::chip::predictor::predict;
         let i_regs = [
             HwIParticle::from_host(particles[0].pos, particles[0].vel, eps2),
             HwIParticle::from_host(probe.pos, probe.vel, eps2),
         ];
-        let exps = [ExpSet::from_magnitudes(100.0, 1000.0, 100.0); 2];
-        let h2v = [h2; 2];
-        let mut nb_s = Vec::new();
-        let a = scalar_chip.compute_block_nb(&i_regs, &exps, &h2v, &mut nb_s).unwrap();
-        for mode in [KernelMode::Batched, KernelMode::Simd] {
+        let exp = ExpSet::from_magnitudes(100.0, 1000.0, 100.0);
+        let run_chip = |mode: KernelMode| {
             let mut chip = Chip::new(ChipConfig::default());
             chip.set_kernel_mode(mode);
             for (k, p) in particles.iter().enumerate() {
                 chip.load_j(k, p);
             }
             chip.set_time(0.0);
-            let mut nb_b = Vec::new();
-            let b = chip.compute_block_nb(&i_regs, &exps, &h2v, &mut nb_b).unwrap();
-            for i in 0..2 {
-                for c in 0..3 {
-                    prop_assert_eq!(a[i].acc[c].mant(), b[i].acc[c].mant(), "acc[{}][{}]", i, c);
-                    prop_assert_eq!(a[i].jerk[c].mant(), b[i].jerk[c].mant(), "jerk[{}][{}]", i, c);
+            let mut nb = Vec::new();
+            let pf = chip.compute_block_nb(&i_regs, &[exp; 2], &[h2; 2], &mut nb).unwrap();
+            (pf, nb)
+        };
+        let (a, nb_s) = run_chip(KernelMode::Scalar);
+        let (b, nb_b) = run_chip(KernelMode::Simd);
+        prop_assert_eq!(&nb_s, &nb_b, "neighbour lists diverged (chip)");
+
+        let rsqrt = RsqrtCubedUnit::default();
+        let predicted: Vec<_> = particles
+            .iter()
+            .map(|p| predict(&HwJParticle::from_host(p), 0.0))
+            .collect();
+        let mut batch = SoaBatch::default();
+        batch.decode(&predicted);
+        for i in 0..2 {
+            let mut want = PartialForce::new(exp);
+            let mut want_nb = Vec::new();
+            for (addr, jp) in predicted.iter().enumerate() {
+                let r2 = interact(&rsqrt, &i_regs[i], jp, &mut want).unwrap();
+                if r2 < h2 && r2 > 0.0 {
+                    want_nb.push(addr as u32);
                 }
-                prop_assert_eq!(a[i].pot.mant(), b[i].pot.mant(), "pot[{}]", i);
             }
-            prop_assert_eq!(&nb_s, &nb_b, "neighbour lists diverged ({:?})", mode);
+            let mut nb = Vec::new();
+            let rows = [
+                ("chip scalar", a[i]),
+                ("chip simd", b[i]),
+                ("batched_row", batched_row(&rsqrt, &i_regs[i], &batch, &predicted, exp).unwrap()),
+                (
+                    "batched_row_nb",
+                    batched_row_nb(&rsqrt, &i_regs[i], &batch, &predicted, exp, h2, &mut nb).unwrap(),
+                ),
+            ];
+            prop_assert_eq!(&nb, &want_nb, "neighbour list diverged (batched_row_nb, i={})", i);
+            prop_assert_eq!(&nb_s[i], &want_nb, "neighbour list diverged (chip, i={})", i);
+            for (label, got) in rows {
+                for c in 0..3 {
+                    prop_assert_eq!(want.acc[c].mant(), got.acc[c].mant(), "{} acc[{}][{}]", label, i, c);
+                    prop_assert_eq!(want.jerk[c].mant(), got.jerk[c].mant(), "{} jerk[{}][{}]", label, i, c);
+                }
+                prop_assert_eq!(want.pot.mant(), got.pot.mant(), "{} pot[{}]", label, i);
+            }
         }
     }
 
