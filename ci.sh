@@ -35,8 +35,12 @@ echo "==> SIMD dispatch off: kernel A/B + bitwise suite on the portable lanes"
 # runs the portable lane instance — what a host without AVX2 gets.  The
 # whole bitwise matrix and a kernel A/B pass must still hold — same bits,
 # no panics.  Runs *before* the real kernel matrix so the final
-# BENCH_kernel.json reflects the SIMD-enabled machine.
+# BENCH_kernel.json reflects the SIMD-enabled machine.  The chip and arith
+# unit tests repeat here because the portable width gives the lane row a
+# different padded chunk length — the bound its uninitialised scratch
+# rests on.
 GRAPE6_FORCE_SCALAR=1 RAYON_NUM_THREADS=1 cargo test -q --locked --test overlap_bitwise
+GRAPE6_FORCE_SCALAR=1 cargo test -q --locked -p grape6-chip -p grape6-arith
 GRAPE6_FORCE_SCALAR=1 cargo run --release --locked -p grape6-bench --bin kernel_bench -- 8 2 128
 
 echo "==> force-kernel matrix (release): scalar oracle vs lane kernel at every level"
@@ -218,6 +222,20 @@ for run in r["runs"]:
           f"{run['saturated_denials']} saturated denials, {run['torn_frames']} torn, "
           f"{run['client_deaths']} deaths, {run['detached']} detached, "
           f"{run['board_rotations']} rotations — ok")
+EOF
+
+echo "==> repo benchmark smoke: the BENCHMARK.json command with --smoke"
+# All five workloads in under 20 s with their fail-closed output checks
+# (scalar replay digests, sweep force bits and neighbour lists, farm result
+# digests); a non-zero exit fails the gate.  It builds benchmark/ against
+# the workspace crates, so it also proves no signature the benchmark calls
+# was broken.  Cargo may rewrite the stale benchmark/Cargo.lock on the way:
+# do not commit that rewrite.
+python3 - <<'EOF'
+import json, subprocess, sys
+with open("BENCHMARK.json") as f:
+    command = json.load(f)["command"]
+sys.exit(subprocess.call(command + ["--smoke"]))
 EOF
 
 echo "==> ci.sh: all green"

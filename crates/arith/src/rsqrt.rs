@@ -17,13 +17,17 @@
 //! concatenated with the top mantissa bits — no divider even in the index
 //! computation.  Each segment is one cache-line-sized record holding the
 //! midpoint and both coefficient triples, so evaluating both outputs costs a
-//! single table load.  With the default 10-bit table the relative error is
-//! below `2^-26`, i.e. below the pipeline's own rounding, matching the
-//! design rule that the functional unit must not dominate the force error
-//! budget.
+//! single table load.  The table is identical silicon in every chip, so the
+//! simulator builds its contents once per process and size; a
+//! [`RsqrtCubedUnit`] is a handle on that shared, immutable table.  With the
+//! default 10-bit table the relative error is below `2^-26`, i.e. below the
+//! pipeline's own rounding, matching the design rule that the functional
+//! unit must not dominate the force error budget.
 //!
 //! `x ≤ 0` returns `0`, mirroring the hardware convention that makes the
 //! self-interaction (`r = 0`, `ε = 0`) contribute zero force instead of NaN.
+
+use std::sync::{Arc, OnceLock};
 
 /// Default table size exponent (1024 segments over `[1, 4)`).
 pub const DEFAULT_LOG2_SEGMENTS: u32 = 10;
@@ -47,12 +51,19 @@ struct Segment {
 const _: () = assert!(std::mem::size_of::<Segment>() == 64);
 
 /// Table-driven evaluator for `x^(-3/2)` and `x^(-1/2)`.
+///
+/// A cheap handle: every unit of one size shares one process-wide table
+/// (built on first use), so cloning a unit — or a chip, or a 128-chip
+/// machine — copies a pointer, not 64 KiB.
 #[derive(Clone, Debug)]
 pub struct RsqrtCubedUnit {
     /// Fused segment table, addressed by binade bit ‖ top mantissa bits.
-    seg: Vec<Segment>,
+    /// Always `2^log2_segments` entries: `eval_both_lanes` gathers through
+    /// a raw pointer with an index masked to that width, so both fields
+    /// stay private and are only ever set together, in `new`.
+    seg: Arc<[Segment]>,
     /// Table size exponent this unit was built with.
-    pub log2_segments: u32,
+    log2_segments: u32,
 }
 
 impl Default for RsqrtCubedUnit {
@@ -61,17 +72,16 @@ impl Default for RsqrtCubedUnit {
     }
 }
 
-impl RsqrtCubedUnit {
-    /// Build the unit with `2^log2_segments` table entries (4–16 supported).
-    pub fn new(log2_segments: u32) -> Self {
-        assert!(
-            (4..=16).contains(&log2_segments),
-            "table size exponent must be in 4..=16"
-        );
-        let n = 1usize << log2_segments;
-        let half = n / 2;
-        let mut seg = Vec::with_capacity(n);
-        for i in 0..n {
+// Supported table size exponents: one shared-table slot each.
+const MIN_LOG2_SEGMENTS: u32 = 4;
+const MAX_LOG2_SEGMENTS: u32 = 16;
+
+/// Compute the `2^log2_segments` segment records.
+fn build_table(log2_segments: u32) -> Arc<[Segment]> {
+    let n = 1usize << log2_segments;
+    let half = n / 2;
+    (0..n)
+        .map(|i| {
             // Binade-aligned segments: entries 0..n/2 tile [1, 2) uniformly,
             // entries n/2..n tile [2, 4).  The midpoint is exactly
             // representable (a dyadic rational well inside f64 precision).
@@ -84,14 +94,43 @@ impl RsqrtCubedUnit {
             let f = m0.powf(-1.5);
             // g(m) = m^(-1/2): g' = -1/2 m^(-3/2), g'' = 3/4 m^(-5/2)
             let g = m0.powf(-0.5);
-            seg.push(Segment {
+            Segment {
                 m0,
                 c32: [f, -1.5 * f / m0, 0.5 * (15.0 / 4.0) * f / (m0 * m0)],
                 c12: [g, -0.5 * g / m0, 0.5 * (3.0 / 4.0) * g / (m0 * m0)],
                 _pad: 0.0,
-            });
+            }
+        })
+        .collect()
+}
+
+/// The process-wide table of one size, built by whichever thread asks first.
+fn shared_table(log2_segments: u32) -> Arc<[Segment]> {
+    const SIZES: usize = (MAX_LOG2_SEGMENTS - MIN_LOG2_SEGMENTS + 1) as usize;
+    static TABLES: [OnceLock<Arc<[Segment]>>; SIZES] = [const { OnceLock::new() }; SIZES];
+    TABLES[(log2_segments - MIN_LOG2_SEGMENTS) as usize]
+        .get_or_init(|| build_table(log2_segments))
+        .clone()
+}
+
+impl RsqrtCubedUnit {
+    /// A unit over the shared table of `2^log2_segments` entries (4–16
+    /// supported).
+    pub fn new(log2_segments: u32) -> Self {
+        assert!(
+            (MIN_LOG2_SEGMENTS..=MAX_LOG2_SEGMENTS).contains(&log2_segments),
+            "table size exponent must be in 4..=16"
+        );
+        Self {
+            seg: shared_table(log2_segments),
+            log2_segments,
         }
-        Self { seg, log2_segments }
+    }
+
+    /// Table size exponent this unit was built with.
+    #[inline]
+    pub fn log2_segments(&self) -> u32 {
+        self.log2_segments
     }
 
     /// Number of table segments.
@@ -577,13 +616,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eval_both_is_bitwise_identical_to_separate_evals() {
-        let u = RsqrtCubedUnit::default();
+    /// Dense sweep over 48 binades plus the window edges and degenerate
+    /// inputs.
+    fn sweep_inputs() -> Vec<f64> {
         let mut xs: Vec<f64> = (0..4_000)
             .map(|i| 2f64.powf(-24.0 + 48.0 * (i as f64 + 0.5) / 4_000.0))
             .collect();
-        // Include the window edges and degenerate inputs.
         xs.extend_from_slice(&[
             f64::MIN_POSITIVE,
             f64::MAX,
@@ -596,6 +634,13 @@ mod tests {
             f64::NAN,
             f64::INFINITY,
         ]);
+        xs
+    }
+
+    #[test]
+    fn eval_both_is_bitwise_identical_to_separate_evals() {
+        let u = RsqrtCubedUnit::default();
+        let xs = sweep_inputs();
         for x in xs {
             let (m32, m12) = u.eval_both(x);
             assert_eq!(
@@ -608,6 +653,62 @@ mod tests {
                 u.eval_pow_m12(x).to_bits(),
                 "m12 path diverged at x = {x:e}"
             );
+        }
+    }
+
+    #[test]
+    fn units_of_one_size_share_one_table() {
+        let a = RsqrtCubedUnit::default();
+        let b = RsqrtCubedUnit::default();
+        let c = a.clone();
+        assert!(Arc::ptr_eq(&a.seg, &b.seg), "two default() units");
+        assert!(Arc::ptr_eq(&a.seg, &c.seg), "a clone");
+        let small = RsqrtCubedUnit::new(6);
+        assert!(!Arc::ptr_eq(&a.seg, &small.seg), "two sizes");
+        assert_eq!(small.log2_segments(), 6);
+        assert_eq!(small.segments(), 64);
+        assert_eq!(a.segments(), 1 << DEFAULT_LOG2_SEGMENTS);
+    }
+
+    #[test]
+    fn concurrent_first_use_yields_one_table() {
+        // A size nothing else in this test binary asks for, so the threads
+        // released by the barrier race the real first use.
+        const LOG2: u32 = 13;
+        let barrier = std::sync::Barrier::new(8);
+        let units: Vec<RsqrtCubedUnit> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        RsqrtCubedUnit::new(LOG2)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("builder thread panicked"))
+                .collect()
+        });
+        for u in &units {
+            assert_eq!(u.segments(), 1 << LOG2);
+            assert!(Arc::ptr_eq(&units[0].seg, &u.seg));
+        }
+    }
+
+    #[test]
+    fn shared_table_equals_a_privately_built_one() {
+        let shared = RsqrtCubedUnit::default();
+        let private = RsqrtCubedUnit {
+            seg: build_table(DEFAULT_LOG2_SEGMENTS),
+            log2_segments: DEFAULT_LOG2_SEGMENTS,
+        };
+        assert!(!Arc::ptr_eq(&shared.seg, &private.seg));
+        for x in sweep_inputs() {
+            let (s32, s12) = shared.eval_both(x);
+            let (p32, p12) = private.eval_both(x);
+            assert_eq!(s32.to_bits(), p32.to_bits(), "m32 at x = {x:e}");
+            assert_eq!(s12.to_bits(), p12.to_bits(), "m12 at x = {x:e}");
         }
     }
 

@@ -82,12 +82,16 @@ pub struct Chip {
     time: f64,
     cycles: u64,
     interactions: u64,
-    /// Scratch buffer of predicted j-particles, reused across passes.
+    /// Predicted j-particles, reused across passes.
     predicted: Vec<PredictedJ>,
     /// Which force-pass kernel runs (bitwise-identical either way).
     kernel: KernelMode,
     /// SoA decode of `predicted`, reused across passes (lane kernel).
     soa: SoaBatch,
+    /// `time` bits for which `predicted` and `soa` hold the lane kernel's
+    /// prediction of the current j-memory contents; `None` once either may
+    /// have gone stale (see [`Chip::compute_block`]).
+    predicted_at: Option<u64>,
     /// Fault injection: the whole chip is dead (returns zeros, burns no
     /// cycles — it simply never answers the reduction network).
     dead: bool,
@@ -109,6 +113,7 @@ impl Chip {
             predicted: Vec::new(),
             kernel: KernelMode::default(),
             soa: SoaBatch::default(),
+            predicted_at: None,
             dead: false,
             dead_pipelines: 0,
             cfg,
@@ -156,6 +161,7 @@ impl Chip {
     /// Jam a j-memory data line stuck at 1 (fault injection).
     pub fn add_stuck_jmem_bit(&mut self, s: StuckBit) {
         self.jmem.add_stuck_bit(s);
+        self.predicted_at = None;
     }
 
     /// Zero the virtual i-slots served by dead pipelines.  VMP slot `k`
@@ -185,6 +191,7 @@ impl Chip {
     /// Write a j-particle (host → interface card → memory format).
     pub fn load_j(&mut self, addr: usize, p: &JParticle) {
         self.jmem.write(addr, HwJParticle::from_host(p));
+        self.predicted_at = None;
     }
 
     /// Set the system time the predictor pipeline targets.
@@ -216,6 +223,7 @@ impl Chip {
     pub fn clear(&mut self) {
         self.jmem.clear();
         self.time = 0.0;
+        self.predicted_at = None;
     }
 
     /// Run one chip pass: forces on up to 48 i-particles from every stored
@@ -224,6 +232,16 @@ impl Chip {
     /// On any block-FP overflow the pass aborts with the error and consumed
     /// cycles are still charged — the host pays for failed passes, exactly
     /// as the real machine does when it retries with a corrected exponent.
+    ///
+    /// The hardware re-runs its predictor pipeline on every pass; the
+    /// simulator's lane kernel ([`KernelMode::Simd`]) runs it once per
+    /// (`time` bits, j-memory contents) and reuses the predicted, decoded
+    /// batch on later passes — a block of more than 48 i-particles, or a
+    /// retry with a corrected exponent, streams the same predictions.
+    /// [`Chip::load_j`], [`Chip::clear`], [`Chip::add_stuck_jmem_bit`], a
+    /// [`Chip::set_time`] to different bits and any [`KernelMode::Scalar`]
+    /// pass drop the cached batch.  Cycles and interactions are charged per
+    /// pass regardless, and the scalar oracle re-predicts every pass.
     pub fn compute_block(
         &mut self,
         i_regs: &[HwIParticle],
@@ -255,7 +273,6 @@ impl Chip {
                 }
             }
             KernelMode::Simd => {
-                self.soa.decode(&self.predicted);
                 for (ip, &exp) in i_regs.iter().zip(exps) {
                     out.push(simd_row(&self.rsqrt, ip, &self.soa, &self.predicted, exp)?);
                 }
@@ -316,7 +333,6 @@ impl Chip {
                 }
             }
             KernelMode::Simd => {
-                self.soa.decode(&self.predicted);
                 for (((ip, &exp), &h2i), nb) in
                     i_regs.iter().zip(exps).zip(h2).zip(lists.iter_mut())
                 {
@@ -345,10 +361,13 @@ impl Chip {
 
     /// Shared pass prologue: charge cycles up front (the hardware streams
     /// the whole memory regardless of whether the host later accepts the
-    /// result) and run the predictor pipeline over every stored j.
+    /// result) and make `predicted` (and, for the lane kernel, `soa`) hold
+    /// every stored j predicted to the current time.
     ///
-    /// The lane kernel uses the batched SoA predictor pass; the scalar
-    /// oracle keeps the per-particle loop so a `KernelMode::Scalar` run
+    /// The lane kernel uses the batched SoA predictor pass and skips it
+    /// when `predicted_at` says the buffers already hold this time's
+    /// prediction of this memory; the scalar oracle keeps the per-particle
+    /// loop, statelessly, on every pass, so a `KernelMode::Scalar` run
     /// remains an end-to-end independent reference.  The two are bitwise
     /// identical (`predict_batch` contract).
     fn charge_and_predict(&mut self, n_i: usize) {
@@ -360,6 +379,8 @@ impl Chip {
         let t = self.time;
         match self.kernel {
             KernelMode::Scalar => {
+                // `predicted` is overwritten without `soa` following.
+                self.predicted_at = None;
                 self.predicted.clear();
                 self.predicted.reserve(n_j);
                 for p in self.jmem.stream() {
@@ -367,7 +388,12 @@ impl Chip {
                 }
             }
             KernelMode::Simd => {
-                predict_batch(self.jmem.stream(), t, &mut self.predicted);
+                let key = Some(t.to_bits());
+                if self.predicted_at != key {
+                    predict_batch(self.jmem.stream(), t, &mut self.predicted);
+                    self.soa.decode(&self.predicted);
+                    self.predicted_at = key;
+                }
             }
         }
     }
@@ -755,6 +781,215 @@ mod tests {
         let exps = vec![ExpSet::from_magnitudes(100.0, 1000.0, 100.0)];
         chip.compute_block_nb(&i_regs, &exps, &[0.09], lists)
             .unwrap()
+    }
+
+    /// Replayable chip set-up: `build` applies every recorded step to a
+    /// fresh chip (no pass in between, so it has never predicted), `apply`
+    /// applies one step to the warmed chip under test and records it.
+    #[derive(Clone)]
+    enum Setup {
+        Load(usize, JParticle),
+        Stuck(StuckBit),
+        Clear,
+        Time(f64),
+    }
+
+    impl Setup {
+        fn run(&self, chip: &mut Chip) {
+            match self {
+                Setup::Load(addr, p) => chip.load_j(*addr, p),
+                Setup::Stuck(s) => chip.add_stuck_jmem_bit(*s),
+                Setup::Clear => chip.clear(),
+                Setup::Time(t) => chip.set_time(*t),
+            }
+        }
+    }
+
+    fn build(history: &[Setup]) -> Chip {
+        let mut chip = Chip::new(ChipConfig::default());
+        for step in history {
+            step.run(&mut chip);
+        }
+        chip
+    }
+
+    fn apply(chip: &mut Chip, history: &mut Vec<Setup>, step: Setup) {
+        step.run(chip);
+        history.push(step);
+    }
+
+    /// What one pass produced — force bits and neighbour lists (empty for
+    /// the plain pass), or the block-FP error — and what it charged.
+    type PassRecord = (
+        Result<(Vec<[i64; 7]>, Vec<Vec<u32>>), BlockFpError>,
+        u64,
+        u64,
+    );
+
+    /// One pass at the chip's current state through either entry point.
+    fn pass(chip: &mut Chip, i_regs: &[HwIParticle], nb: bool) -> PassRecord {
+        // Room for the cluster's own forces; a unit mass at softening
+        // distance (the flyby below) overflows the acc window.
+        let exps = vec![
+            ExpSet {
+                acc: 9,
+                jerk: 40,
+                pot: 20
+            };
+            i_regs.len()
+        ];
+        let (c0, n0) = (chip.cycles(), chip.interactions());
+        let mut lists = Vec::new();
+        let out = if nb {
+            chip.compute_block_nb(i_regs, &exps, &vec![0.09; i_regs.len()], &mut lists)
+        } else {
+            chip.compute_block(i_regs, &exps)
+        };
+        let out = out.map(|forces| {
+            let bits = forces
+                .iter()
+                .map(|pf| {
+                    [
+                        pf.acc[0].mant(),
+                        pf.acc[1].mant(),
+                        pf.acc[2].mant(),
+                        pf.jerk[0].mant(),
+                        pf.jerk[1].mant(),
+                        pf.jerk[2].mant(),
+                        pf.pot.mant(),
+                    ]
+                })
+                .collect();
+            (bits, lists)
+        });
+        (out, chip.cycles() - c0, chip.interactions() - n0)
+    }
+
+    /// A warmed chip (one lane-kernel pass at `t`, so its prediction is
+    /// cached) goes through every event that can make the cache stale;
+    /// after each, its next passes must equal — forces, neighbour lists,
+    /// error, cycles and interactions charged — those of a chip freshly
+    /// built to the same state, which has nothing cached.
+    #[test]
+    fn warmed_chip_equals_fresh_chip_after_every_invalidator() {
+        let (mass, pos, vel) = test_system(200);
+        let jp = |k: usize, t0: f64| JParticle {
+            mass: mass[k],
+            t0,
+            pos: pos[k],
+            vel: vel[k],
+            acc: vel[(k + 1) % 200] * 0.5,
+            jerk: pos[(k + 2) % 200] * 0.1,
+            ..Default::default()
+        };
+        let i_regs: Vec<HwIParticle> = (0..48)
+            .map(|k| HwIParticle::from_host(pos[k], vel[k], 1e-4))
+            .collect();
+        let (t, t2, t3) = (0.0625, 0.125, 0.1875);
+        // A unit mass that is ~1 length unit from i-particle 0 at `t` and
+        // `t2` but at softening distance from it at `t3`, where its force
+        // overflows the window: the lane row is discarded and re-run
+        // through the oracle on the chip's `predicted` buffer.
+        let flyby = JParticle {
+            mass: 1.0,
+            t0: 0.0,
+            pos: pos[0] + Vec3::new(0.007 - 16.0 * t3, 0.0, 0.0),
+            vel: Vec3::new(16.0, 0.0, 0.0),
+            ..Default::default()
+        };
+        for nb in [false, true] {
+            let mut history: Vec<Setup> = (0..150).map(|k| Setup::Load(k, jp(k, 0.0))).collect();
+            history.push(Setup::Load(150, flyby));
+            history.push(Setup::Time(t));
+            let mut warm = build(&history);
+            let check = |warm: &mut Chip, history: &[Setup], label: &str| {
+                let mut fresh = build(history);
+                let want = pass(&mut fresh, &i_regs, nb);
+                let charged = if fresh.n_j() > 0 {
+                    30 + 8 * fresh.n_j()
+                } else {
+                    0
+                };
+                assert_eq!(want.1, charged as u64, "cycles of one pass ({label})");
+                assert_eq!(want.2, (48 * fresh.n_j()) as u64, "{label}");
+                // Twice: the pass right after the event, then the pass
+                // that runs on what that one cached.
+                for round in 0..2 {
+                    let got = pass(warm, &i_regs, nb);
+                    assert!(got == want, "{label}, nb={nb}, pass {round} after");
+                }
+                want.0
+            };
+            let base = check(&mut warm, &history, "warm-up").unwrap();
+            if nb {
+                assert!(base.1.iter().any(|l| !l.is_empty()), "lists exercised");
+            }
+
+            // Rewrite one address (a different particle lands there).
+            apply(&mut warm, &mut history, Setup::Load(7, jp(160, 0.03125)));
+            let moved = check(&mut warm, &history, "load_j of one address").unwrap();
+            assert!(moved.0 != base.0, "the write must move the forces");
+
+            // A stuck line takes effect at the next write to its address.
+            let stuck = StuckBit {
+                addr: 3,
+                lane: 1,
+                bit: 57,
+            };
+            apply(&mut warm, &mut history, Setup::Stuck(stuck));
+            check(&mut warm, &history, "add_stuck_jmem_bit").unwrap();
+            apply(&mut warm, &mut history, Setup::Load(3, jp(3, 0.0)));
+            check(&mut warm, &history, "write through the stuck line").unwrap();
+
+            // New time; then back to the first one.
+            apply(&mut warm, &mut history, Setup::Time(t2));
+            let later = check(&mut warm, &history, "set_time(t')").unwrap();
+            apply(&mut warm, &mut history, Setup::Time(t));
+            let back = check(&mut warm, &history, "set_time(t) again").unwrap();
+            assert!(later.0 != back.0, "time must move the forces");
+
+            // The oracle overwrites `predicted` without `soa` following:
+            // cache the flyby's overflow at t3, run a Scalar pass (and no
+            // other) at t2, come back to t3.  A lane pass that trusted the
+            // old key would hand the oracle t2's particles and get forces,
+            // not the error.
+            apply(&mut warm, &mut history, Setup::Time(t3));
+            let overflow = check(&mut warm, &history, "overflowing pass");
+            assert!(overflow.is_err(), "the flyby must overflow at t3");
+            apply(&mut warm, &mut history, Setup::Time(t2));
+            warm.set_kernel_mode(KernelMode::Scalar);
+            let scalar = pass(&mut warm, &i_regs, nb);
+            warm.set_kernel_mode(KernelMode::Simd);
+            apply(&mut warm, &mut history, Setup::Time(t3));
+            let again = check(&mut warm, &history, "Scalar pass at another time");
+            assert!(again == overflow);
+            apply(&mut warm, &mut history, Setup::Time(t2));
+            let simd = check(&mut warm, &history, "Simd pass after the Scalar one");
+            assert!(scalar.0 == simd, "kernels agree, nb={nb}");
+
+            // A clone carries the cache; the two then diverge.
+            apply(&mut warm, &mut history, Setup::Time(t));
+            check(&mut warm, &history, "before the clone").unwrap();
+            let mut twin = warm.clone();
+            let mut twin_history = history.clone();
+            apply(&mut twin, &mut twin_history, Setup::Load(11, jp(170, 0.0)));
+            apply(&mut warm, &mut history, Setup::Load(12, jp(180, 0.0)));
+            let a = check(&mut twin, &twin_history, "clone, diverging write").unwrap();
+            let b = check(&mut warm, &history, "original, diverging write").unwrap();
+            assert!(a.0 != b.0, "the twins hold different memories");
+
+            // `clear` resets the time to 0: cache a prediction at that very
+            // time first, so only `clear` itself can drop it.
+            apply(&mut warm, &mut history, Setup::Time(0.0));
+            check(&mut warm, &history, "t = 0").unwrap();
+            apply(&mut warm, &mut history, Setup::Clear);
+            check(&mut warm, &history, "clear").unwrap();
+            for k in 0..40 {
+                apply(&mut warm, &mut history, Setup::Load(k, jp(199 - k, 0.0)));
+            }
+            apply(&mut warm, &mut history, Setup::Time(t));
+            check(&mut warm, &history, "clear + reload").unwrap();
+        }
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! *whole* j-batch with the same arithmetic but none of the per-pair
 //! overhead:
 //!
-//! * the predicted j-particles are decoded **once per pass** into parallel
-//!   arrays ([`SoaBatch`]): quantised mass, raw fixed-point position words,
+//! * the predicted j-particles are decoded into parallel arrays
+//!   ([`SoaBatch`]) **once per (time, j-memory contents)** — the chip
+//!   keeps the decoded batch across passes until a j-write or a new time
+//!   makes it stale: quantised mass, raw fixed-point position words,
 //!   quantised velocity words — the inner loop streams flat `f64`/`i64`
 //!   lanes instead of hopping through `PredictedJ` structs;
 //! * every operation is the *same* `f64` op with the same single rounding
@@ -70,9 +72,10 @@ impl KernelMode {
     }
 }
 
-/// One chip pass worth of predicted j-particles, decoded into parallel
-/// arrays.  Owned by the chip and reused across passes (capacity is
-/// retained), mirroring the `predicted` scratch buffer.
+/// A chip's predicted j-particles, decoded into parallel arrays.  Owned by
+/// the chip alongside the `predicted` buffer it mirrors, and kept across
+/// passes for as long as that prediction stands (capacity is retained
+/// when it is redone).
 #[derive(Clone, Debug, Default)]
 pub struct SoaBatch {
     /// Number of real j-particles (the arrays may carry zero padding

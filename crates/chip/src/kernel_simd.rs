@@ -26,6 +26,8 @@
 //!
 //! [`KernelMode::Simd`]: crate::kernel::KernelMode::Simd
 
+use std::mem::MaybeUninit;
+
 use grape6_arith::blockfp::{BatchLane, BlockFpError};
 use grape6_arith::fixed::PosFix;
 use grape6_arith::rsqrt::RsqrtCubedUnit;
@@ -161,7 +163,8 @@ mod x86 {
 /// quantiser, bit-identical to the `quantize_sig` the wrappers call).  One
 /// pass over each chunk keeps stages 1–4 entirely in registers, `WIDTH`
 /// lanes at a time, spilling only the eight arrays stage 5 and the
-/// neighbour scan need.
+/// neighbour scan need (uninitialised stack scratch: written over
+/// `[0, clp)`, read over `[0, cl)`, per chunk).
 ///
 /// # Safety
 /// `L`'s ISA must be available (the x86 callers are `#[target_feature]`
@@ -184,6 +187,8 @@ unsafe fn row_lanes<L: Lanes>(
     unsafe fn q<L: Lanes>(x: L::F) -> L::F {
         quantize_lanes::<L>(x, PIPE_SIG_BITS)
     }
+    // A chunk's lane-padded length never exceeds the scratch arrays.
+    const { assert!(CHUNK.is_multiple_of(L::WIDTH)) };
     // i-side invariants, splatted once.
     let ixv = L::splat_i(ip.pos.x.raw());
     let iyv = L::splat_i(ip.pos.y.raw());
@@ -209,15 +214,18 @@ unsafe fn row_lanes<L: Lanes>(
     let spotv = L::splat(lp.scale());
 
     // Chunk scratch: the pre-scaled, pre-rounded summands plus the
-    // unsoftened r² the neighbour scan keys on.
-    let mut qax = [0.0f64; CHUNK];
-    let mut qay = [0.0f64; CHUNK];
-    let mut qaz = [0.0f64; CHUNK];
-    let mut qjx = [0.0f64; CHUNK];
-    let mut qjy = [0.0f64; CHUNK];
-    let mut qjz = [0.0f64; CHUNK];
-    let mut qpot = [0.0f64; CHUNK];
-    let mut r2_raw = [0.0f64; CHUNK];
+    // unsoftened r² the neighbour scan keys on.  Left uninitialised — a
+    // zero fill here is 8 KiB of memset per row however few j there are.
+    // Per chunk the lane stores write `[0, clp)` of every array before
+    // anything reads `[0, cl)`, `cl ≤ clp`; nothing reads beyond `cl`.
+    let mut qax = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut qay = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut qaz = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut qjx = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut qjy = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut qjz = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut qpot = [MaybeUninit::<f64>::uninit(); CHUNK];
+    let mut r2_raw = [MaybeUninit::<f64>::uninit(); CHUNK];
 
     let n = batch.len();
     let mut j0 = 0;
@@ -253,7 +261,7 @@ unsafe fn row_lanes<L: Lanes>(
             let yy = q::<L>(L::mul(dy, dy));
             let zz = q::<L>(L::mul(dz, dz));
             let rr = q::<L>(L::add(q::<L>(L::add(xx, yy)), zz));
-            L::store(r2_raw.as_mut_ptr().add(g), rr);
+            L::store(r2_raw.as_mut_ptr().cast::<f64>().add(g), rr);
             let r2 = q::<L>(L::add(rr, epsv));
             // Stage 3: the gathered table lookup, whole lane at once.
             let (e32, e12) = rsqrt.eval_both_lanes::<L>(r2);
@@ -279,31 +287,31 @@ unsafe fn row_lanes<L: Lanes>(
             // Stage 5a, lane-parallel half: shift onto each window's
             // grid and round — exactly `(x·scale).round_ties_even()`.
             L::store(
-                qax.as_mut_ptr().add(g),
+                qax.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(ax, saccv)),
             );
             L::store(
-                qay.as_mut_ptr().add(g),
+                qay.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(ay, saccv)),
             );
             L::store(
-                qaz.as_mut_ptr().add(g),
+                qaz.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(az, saccv)),
             );
             L::store(
-                qjx.as_mut_ptr().add(g),
+                qjx.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(jx, sjerkv)),
             );
             L::store(
-                qjy.as_mut_ptr().add(g),
+                qjy.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(jy, sjerkv)),
             );
             L::store(
-                qjz.as_mut_ptr().add(g),
+                qjz.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(jz, sjerkv)),
             );
             L::store(
-                qpot.as_mut_ptr().add(g),
+                qpot.as_mut_ptr().cast::<f64>().add(g),
                 L::round_ties_even(L::mul(pot, spotv)),
             );
             g += L::WIDTH;
@@ -311,30 +319,33 @@ unsafe fn row_lanes<L: Lanes>(
         // Stage 5b, sequential half: the order-sensitive i64 adds,
         // lane-major in ascending j — the exact add sequence per lane
         // of the scalar pipeline.  Padding (k ≥ cl) never enters.
+        // SAFETY (every `assume_init` below): `k < cl ≤ clp`, and the
+        // loop above stored `[0, clp)` of all eight arrays for this chunk.
         for k in 0..cl {
-            lax.add_rounded(qax[k]);
+            lax.add_rounded(qax[k].assume_init());
         }
         for k in 0..cl {
-            lay.add_rounded(qay[k]);
+            lay.add_rounded(qay[k].assume_init());
         }
         for k in 0..cl {
-            laz.add_rounded(qaz[k]);
+            laz.add_rounded(qaz[k].assume_init());
         }
         for k in 0..cl {
-            ljx.add_rounded(qjx[k]);
+            ljx.add_rounded(qjx[k].assume_init());
         }
         for k in 0..cl {
-            ljy.add_rounded(qjy[k]);
+            ljy.add_rounded(qjy[k].assume_init());
         }
         for k in 0..cl {
-            ljz.add_rounded(qjz[k]);
+            ljz.add_rounded(qjz[k].assume_init());
         }
         for k in 0..cl {
-            lp.add_rounded(qpot[k]);
+            lp.add_rounded(qpot[k].assume_init());
         }
         if let Some(h2) = h2i {
             for k in 0..cl {
-                if r2_raw[k] < h2 && r2_raw[k] > 0.0 {
+                let r2 = r2_raw[k].assume_init();
+                if r2 < h2 && r2 > 0.0 {
                     nb.push((j0 + k) as u32);
                 }
             }
@@ -499,6 +510,55 @@ mod tests {
             let got = row(&ip, &predicted, exps, Some(h2), &mut nb).unwrap();
             assert_pf_bits_equal(&got, &want, label);
             assert_eq!(nb, want_nb, "neighbour list diverged ({label})");
+        });
+    }
+
+    #[test]
+    fn short_rows_after_a_long_row_never_see_its_scratch() {
+        // The chunk scratch is uninitialised stack: after a row of several
+        // full chunks it holds that row's summands and r² in every slot.
+        // Short rows on the same thread then write only `[0, clp)` — one
+        // j, two, one either side of both lane widths, one past a chunk —
+        // and nothing beyond `cl` may reach an accumulator or a list.  The
+        // radius takes in every j, so one stale r² would show as an
+        // address the short batch does not have.
+        let rsqrt = RsqrtCubedUnit::default();
+        let exps = ExpSet::from_magnitudes(100.0, 1000.0, 100.0);
+        let h2 = 100.0;
+        let ip = HwIParticle::from_host(Vec3::new(0.1, 0.0, -0.1), Vec3::ZERO, 1e-4);
+        let oracle = |predicted: &[PredictedJ]| {
+            let mut pf = PartialForce::new(exps);
+            let mut nb = Vec::new();
+            for (addr, jp) in predicted.iter().enumerate() {
+                let r2 = interact(&rsqrt, &ip, jp, &mut pf).unwrap();
+                if r2 < h2 && r2 > 0.0 {
+                    nb.push(addr as u32);
+                }
+            }
+            (pf, nb)
+        };
+        let long = predicted_set(3 * CHUNK + 5, 0.0);
+        let (long_pf, long_nb) = oracle(&long);
+        assert_eq!(long_nb.len(), long.len(), "the radius takes in every j");
+        let shorts: Vec<Vec<PredictedJ>> = [1, 2, 3, 5, 7, 9, CHUNK + 1]
+            .iter()
+            .map(|&n| predicted_set(n, 0.0625))
+            .collect();
+        for_each_entry(|label, row| {
+            for with_nb in [None, Some(h2)] {
+                let mut nb = Vec::new();
+                let got = row(&ip, &long, exps, with_nb, &mut nb).unwrap();
+                assert_pf_bits_equal(&got, &long_pf, label);
+                for predicted in &shorts {
+                    let n = predicted.len();
+                    let (want, want_nb) = oracle(predicted);
+                    let got = row(&ip, predicted, exps, with_nb, &mut nb).unwrap();
+                    assert_pf_bits_equal(&got, &want, &format!("{label}, {n} j"));
+                    if with_nb.is_some() {
+                        assert_eq!(nb, want_nb, "neighbour list ({label}, {n} j)");
+                    }
+                }
+            }
         });
     }
 

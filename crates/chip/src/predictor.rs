@@ -21,6 +21,8 @@
 //! `Δt³/6·a⁽²⁾₀` velocity term is positive, d(x_p)/dt = v_p only holds with
 //! the positive sign).  DESIGN.md records this deviation.
 
+use std::mem::MaybeUninit;
+
 use grape6_arith::fixed::PosVec;
 use grape6_arith::pfloat::PipeFloat;
 use grape6_arith::{quantize_sig_branchless, PIPE_SIG_BITS};
@@ -112,13 +114,16 @@ pub fn predict_batch(stream: &[HwJParticle], t: f64, out: &mut Vec<PredictedJ>) 
     let quarter = QUARTER.get();
     out.clear();
     out.reserve(stream.len());
-    // Per-particle dt terms, then per-coordinate polynomial scratch.
-    let mut dt = [0.0f64; PCHUNK];
-    let mut dth = [0.0f64; PCHUNK];
-    let mut dtt = [0.0f64; PCHUNK];
-    let mut dtq = [0.0f64; PCHUNK];
-    let mut dx = [[0.0f64; PCHUNK]; 3];
-    let mut vp = [[0.0f64; PCHUNK]; 3];
+    // Per-particle dt terms, then per-coordinate polynomial scratch.  Left
+    // uninitialised (a zero fill is ~5 KiB of memset per call): per chunk,
+    // stage 1 writes `[0, cl)` of the dt arrays before stage 2 reads them,
+    // and stage 2 writes `[0, cl)` of `dx`/`vp` before stage 3 reads them.
+    let mut dt = [MaybeUninit::<f64>::uninit(); PCHUNK];
+    let mut dth = [MaybeUninit::<f64>::uninit(); PCHUNK];
+    let mut dtt = [MaybeUninit::<f64>::uninit(); PCHUNK];
+    let mut dtq = [MaybeUninit::<f64>::uninit(); PCHUNK];
+    let mut dx = [[MaybeUninit::<f64>::uninit(); PCHUNK]; 3];
+    let mut vp = [[MaybeUninit::<f64>::uninit(); PCHUNK]; 3];
     let mut j0 = 0;
     while j0 < stream.len() {
         let cl = (stream.len() - j0).min(PCHUNK);
@@ -126,10 +131,10 @@ pub fn predict_batch(stream: &[HwJParticle], t: f64, out: &mut Vec<PredictedJ>) 
         // Stage 1: dt and its three hoisted coefficient products.
         for k in 0..cl {
             let d = q(t - chunk[k].t0);
-            dt[k] = d;
-            dth[k] = q(d * half);
-            dtt[k] = q(d * third);
-            dtq[k] = q(d * quarter);
+            dt[k].write(d);
+            dth[k].write(q(d * half));
+            dtt[k].write(q(d * third));
+            dtq[k].write(q(d * quarter));
         }
         // Stage 2: the two Horner chains, one flat pass per coordinate.
         // Parenthesisation spells out the scalar operator chain: every
@@ -137,28 +142,46 @@ pub fn predict_batch(stream: &[HwJParticle], t: f64, out: &mut Vec<PredictedJ>) 
         for c in 0..3 {
             for k in 0..cl {
                 let p = &chunk[k];
+                // SAFETY: `k < cl`, and stage 1 wrote `[0, cl)` of all four.
+                let (dt, dth, dtt, dtq) = unsafe {
+                    (
+                        dt[k].assume_init(),
+                        dth[k].assume_init(),
+                        dtt[k].assume_init(),
+                        dtq[k].assume_init(),
+                    )
+                };
                 let v = q(p.vel[c]);
                 let a = q(p.acc[c]);
                 let j = q(p.jerk[c]);
                 let s = q(p.snap[c]);
                 // dx = dt(v + dt/2(a + dt/3(j + dt/4 s)))
-                let inner = q(j + q(dtq[k] * s));
-                let mid = q(a + q(dtt[k] * inner));
-                let outer = q(v + q(dth[k] * mid));
-                dx[c][k] = q(dt[k] * outer);
+                let inner = q(j + q(dtq * s));
+                let mid = q(a + q(dtt * inner));
+                let outer = q(v + q(dth * mid));
+                dx[c][k].write(q(dt * outer));
                 // v_p = v + dt(a + dt/2(j + dt/3 s))
-                let vin = q(j + q(dtt[k] * s));
-                let vmid = q(a + q(dth[k] * vin));
-                vp[c][k] = q(v + q(dt[k] * vmid));
+                let vin = q(j + q(dtt * s));
+                let vmid = q(a + q(dth * vin));
+                vp[c][k].write(q(v + q(dt * vmid)));
             }
         }
         // Stage 3: apply displacements to the fixed-point positions.
         for k in 0..cl {
             let p = &chunk[k];
+            // SAFETY: `k < cl`, and stage 2 wrote `[0, cl)` of every
+            // coordinate of both arrays.
+            let rd = |a: &[[MaybeUninit<f64>; PCHUNK]; 3]| unsafe {
+                [
+                    a[0][k].assume_init(),
+                    a[1][k].assume_init(),
+                    a[2][k].assume_init(),
+                ]
+            };
             out.push(PredictedJ {
                 mass: p.mass,
-                pos: p.pos.offset_f64([dx[0][k], dx[1][k], dx[2][k]]),
-                vel: [vp[0][k], vp[1][k], vp[2][k]],
+                pos: p.pos.offset_f64(rd(&dx)),
+                vel: rd(&vp),
             });
         }
         j0 += cl;

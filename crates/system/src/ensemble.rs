@@ -118,14 +118,6 @@ impl<U: GrapeUnit> Ensemble<U> {
         self.passes
     }
 
-    /// Indices of the in-service children, in order — the domain of the
-    /// round-robin j-distribution.
-    fn active_indices(&self) -> Vec<usize> {
-        (0..self.children.len())
-            .filter(|&k| self.active[k])
-            .collect()
-    }
-
     /// True if this pass's reduction result comes back corrupted.
     fn reduction_glitches_now(&self) -> bool {
         match &self.reduction_fault {
@@ -157,14 +149,18 @@ impl<U: GrapeUnit> GrapeUnit for Ensemble<U> {
     }
 
     fn load_j(&mut self, addr: usize, p: &JParticle) -> Result<(), LoadError> {
-        let act = self.active_indices();
-        let k = act.len();
+        // Round-robin over the in-service children, in order.
+        let k = self.n_active();
         if k == 0 {
             return Err(LoadError::NoActiveChildren { addr });
         }
+        let child = (0..self.children.len())
+            .filter(|&c| self.active[c])
+            .nth(addr % k)
+            .expect("addr % k indexes the k in-service children");
         // A child error reports the address in *this* level's space — the
         // caller has no view of the round-robin subdivision.
-        self.children[act[addr % k]]
+        self.children[child]
             .load_j(addr / k, p)
             .map_err(|e| match e {
                 LoadError::NoActiveChildren { .. } => LoadError::NoActiveChildren { addr },
