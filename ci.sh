@@ -9,8 +9,11 @@ cargo fmt --all -- --check
 echo "==> cargo build --release --locked"
 cargo build --release --locked
 
-echo "==> cargo test -q --locked"
-cargo test -q --locked
+echo "==> cargo test -q --locked --workspace"
+# Tier-1 is the root package's integration tests; --workspace adds every
+# crate's unit tests (the farm scheduler, the ClusterSupervisor shrink /
+# respawn / evict trio, the transport suite) that live nowhere else.
+cargo test -q --locked --workspace
 
 echo "==> cargo clippy --all-targets --locked -- -D warnings"
 cargo clippy --all-targets --locked -- -D warnings
@@ -122,6 +125,9 @@ for kind in tcp uds; do
 done
 
 echo "==> chaos soak: seeded fault schedules against the recovery stack"
+# Per seed: a faulted machine under RunSupervisor bitwise against a healthy
+# one, a crash-to-disk / restore / continue leg, and a corrupted checkpoint
+# that must be refused.  Rank death needs real processes: next stage.
 cargo run --release --locked -p grape6-bench --bin chaos_soak
 
 echo "==> cluster chaos: SIGKILL + SIGSTOP real rank processes mid-run"

@@ -1,15 +1,15 @@
 //! The chaos soak: seeded fault schedules against the full recovery
 //! stack, with a nonzero exit if any invariant breaks.
 //!
-//! Each seed drives the four scenarios of [`grape6_bench::chaos`]:
+//! Each seed drives the three scenarios of [`grape6_bench::chaos`]:
 //! a supervised run on a faulted machine (dead chip, dead pipeline,
 //! stuck j-memory bit, a module death mid-run, transient reduction
-//! glitches), a crash-to-disk/restore/continue leg, a corrupted
-//! checkpoint that must be refused with a typed error, and a 4-rank
-//! cluster losing one rank mid-run.  Every recovered run must land on
-//! **bitwise identical** particle state to the healthy reference
-//! (the §3.4 block-FP order-independence property made operational),
-//! and energy error must stay at the integrator's healthy level.
+//! glitches), a crash-to-disk/restore/continue leg, and a corrupted
+//! checkpoint that must be refused with a typed error.  Every recovered
+//! run must land on **bitwise identical** particle state to the healthy
+//! reference (the §3.4 block-FP order-independence property made
+//! operational), and energy error must stay at the integrator's healthy
+//! level.
 //!
 //! Usage: `chaos_soak [seeds...]` — defaults to six seeds.
 
@@ -39,7 +39,6 @@ fn main() {
             out.checkpoints_taken.to_string(),
             out.crash_at.to_string(),
             format!("{:.2e}", out.energy_error),
-            format!("r{}@{}", out.rank_killed.0, out.rank_killed.1),
             out.corruption_error.clone(),
             if out.ok() { "ok".into() } else { "FAIL".into() },
         ]);
@@ -50,10 +49,9 @@ fn main() {
 
     print_table(
         &format!(
-            "Chaos soak: {} seeded fault schedules (machine 1x8x4, n={}, {} ranks)",
+            "Chaos soak: {} seeded fault schedules (machine 1x8x4, n={})",
             seeds.len(),
-            cfg.n,
-            cfg.ranks
+            cfg.n
         ),
         &[
             "seed",
@@ -62,7 +60,6 @@ fn main() {
             "ckpts",
             "crash@",
             "dE/E",
-            "kill",
             "corruption error",
             "verdict",
         ],

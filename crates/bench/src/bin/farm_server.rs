@@ -11,8 +11,8 @@
 //!
 //! ```text
 //! farm_server <dir> <tcp|uds> [--nonce=N] [--boards=N] [--faults]
-//!             [--max-live=N] [--queue-depth=N] [--seed=N]
-//!             [--grace-ms=N] [--idle-exit-ms=N] [--max-wall-ms=N]
+//!             [--max-live=N] [--queue-depth=N] [--grace-ms=N]
+//!             [--idle-exit-ms=N] [--max-wall-ms=N]
 //! ```
 //!
 //! `--faults` installs the standard pair of injected board faults on a
@@ -34,8 +34,8 @@ use grape6_net::transport::StreamKind;
 fn usage() -> ! {
     eprintln!(
         "usage: farm_server <dir> <tcp|uds> [--nonce=N] [--boards=N] [--faults] \
-         [--max-live=N] [--queue-depth=N] [--seed=N] [--grace-ms=N] \
-         [--idle-exit-ms=N] [--max-wall-ms=N]"
+         [--max-live=N] [--queue-depth=N] [--grace-ms=N] [--idle-exit-ms=N] \
+         [--max-wall-ms=N]"
     );
     std::process::exit(2);
 }
@@ -81,7 +81,6 @@ fn main() {
         .queue_depth(flag(&args, "queue-depth").unwrap_or(4) as usize)
         .quantum(4)
         .ckpt_every(4)
-        .seed(flag(&args, "seed").unwrap_or(0))
         .build()
         .unwrap_or_else(|e| {
             eprintln!("farm_server: invalid farm config: {e}");

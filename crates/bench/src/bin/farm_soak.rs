@@ -43,7 +43,6 @@ fn main() {
             out.board_rotations.to_string(),
             out.evictions.to_string(),
             out.resumes.to_string(),
-            out.grant_retries.to_string(),
             format!("{}/{}", out.bitwise_ok, out.admitted),
             if out.ok() { "ok".into() } else { "FAIL".into() },
         ]);
@@ -71,7 +70,6 @@ fn main() {
             "rotations",
             "evictions",
             "resumes",
-            "retries",
             "bitwise",
             "verdict",
         ],

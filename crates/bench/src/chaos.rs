@@ -12,18 +12,19 @@
 //!    and continued;
 //! 3. the checkpoint file is corrupted (one byte flipped at a seeded
 //!    offset) and reloaded, which must fail with a typed
-//!    [`CkptError`](grape6_ckpt::CkptError), never a panic;
-//! 4. a 4-rank cluster run has a seed-chosen rank killed at a seed-chosen
-//!    blockstep and must fail over.
+//!    [`CkptError`](grape6_ckpt::CkptError), never a panic.
+//!
+//! Rank death is not staged here: it needs real processes to kill, and
+//! the `cluster_chaos` binary does exactly that.
 //!
 //! The invariants asserted after every recovery are the paper's §3.4
-//! reproducibility property in operational form: the faulted, the
-//! crashed-and-restored, and the failed-over runs must all produce
-//! **bitwise identical** particle state to an untouched run of the same
-//! system, and the energy error must stay at the integrator's healthy
-//! level.  Violations are collected, not panicked — the soak reports
-//! every broken invariant of a seed, and the `chaos_soak` binary turns
-//! any violation into a nonzero exit for CI.
+//! reproducibility property in operational form: the faulted and the
+//! crashed-and-restored runs must both produce **bitwise identical**
+//! particle state to an untouched run of the same system, and the energy
+//! error must stay at the integrator's healthy level.  Violations are
+//! collected, not panicked — the soak reports every broken invariant of
+//! a seed, and the `chaos_soak` binary turns any violation into a
+//! nonzero exit for CI.
 
 use std::path::PathBuf;
 
@@ -31,8 +32,6 @@ use grape6_core::integrator::{HermiteIntegrator, IntegratorConfig};
 use grape6_core::supervisor::{CheckpointPolicy, RunSupervisor, SupervisorConfig};
 use grape6_core::{restore, Grape6Engine};
 use grape6_fault::{FaultConfig, FaultPlan, MachineGeometry};
-use grape6_net::link::LinkProfile;
-use grape6_parallel::failover_algo::{run_failover_parallel, FailoverConfig, RankDeath};
 use grape6_system::machine::MachineConfig;
 use nbody_core::diagnostics::energy;
 use nbody_core::ic::plummer::plummer_model;
@@ -57,10 +56,6 @@ pub struct ChaosConfig {
     pub faults: FaultConfig,
     /// Supervisor checkpoint cadence, blocksteps.
     pub ckpt_every: u64,
-    /// Cluster size of the failover scenario.
-    pub ranks: usize,
-    /// System time of the failover scenario.
-    pub rank_t_end: f64,
 }
 
 impl Default for ChaosConfig {
@@ -81,8 +76,6 @@ impl Default for ChaosConfig {
                 ..FaultConfig::default()
             },
             ckpt_every: 8,
-            ranks: 4,
-            rank_t_end: 0.125,
         }
     }
 }
@@ -105,8 +98,6 @@ pub struct ChaosOutcome {
     pub energy_error: f64,
     /// The typed error the corrupted checkpoint produced.
     pub corruption_error: String,
-    /// Which rank the failover scenario killed, and when.
-    pub rank_killed: (usize, u64),
     /// Every broken invariant, human-readable; empty = seed passed.
     pub violations: Vec<String>,
 }
@@ -284,46 +275,6 @@ pub fn chaos_run(seed: u64, cfg: &ChaosConfig) -> ChaosOutcome {
         Err(e) => violations.push(e),
     }
 
-    // Scenario 4: kill a rank of a small cluster mid-run; the survivors'
-    // continuation must match a fault-free cluster bitwise.
-    let victim = (seed as usize) % cfg.ranks;
-    let kill_at = 3 + seed % 6;
-    let rank_killed = (victim, kill_at);
-    {
-        let mut fo = FailoverConfig {
-            copy: grape6_parallel::CopyConfig {
-                link: LinkProfile::ideal(),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        fo.deaths = vec![RankDeath {
-            rank: victim,
-            at_blockstep: kill_at,
-        }];
-        let faulted = run_failover_parallel(&set0, cfg.ranks, cfg.rank_t_end, &fo);
-        let clean_cfg = FailoverConfig {
-            copy: fo.copy,
-            ..Default::default()
-        };
-        let clean = run_failover_parallel(&set0, cfg.ranks, cfg.rank_t_end, &clean_cfg);
-        if faulted.set.pos != clean.set.pos || faulted.set.vel != clean.set.vel {
-            violations.push(format!(
-                "failover run (rank {victim} killed at blockstep {kill_at}) diverged bitwise"
-            ));
-        }
-        if faulted.survivors.len() != cfg.ranks - 1 {
-            violations.push(format!(
-                "expected {} survivors, got {:?}",
-                cfg.ranks - 1,
-                faulted.survivors
-            ));
-        }
-        if faulted.stats.recovery.recovery_seconds <= 0.0 {
-            violations.push("failover charged no recovery time".into());
-        }
-    }
-
     ChaosOutcome {
         seed,
         blocksteps,
@@ -332,7 +283,6 @@ pub fn chaos_run(seed: u64, cfg: &ChaosConfig) -> ChaosOutcome {
         crash_at,
         energy_error,
         corruption_error,
-        rank_killed,
         violations,
     }
 }
@@ -346,7 +296,6 @@ mod tests {
         // Keep the in-test soak short; the binary runs the full battery.
         let cfg = ChaosConfig {
             t_end: 0.125,
-            rank_t_end: 0.0625,
             ..ChaosConfig::default()
         };
         let out = chaos_run(3, &cfg);

@@ -104,10 +104,6 @@ pub struct FarmSoakOutcome {
     pub resumes: u64,
     /// Boards pulled from rotation.
     pub board_rotations: u64,
-    /// Farm-level step retries (backoff path).
-    pub grant_retries: u64,
-    /// Virtual seconds spent in retry backoff.
-    pub backoff_seconds: f64,
     /// Tenants with a nonzero six-term breakdown.
     pub tenants_traced: usize,
     /// Sessions whose final bits matched their dedicated run.
@@ -129,8 +125,7 @@ impl FarmSoakOutcome {
                 "{{\"seed\":{},\"submitted\":{},\"admitted\":{},\"completed\":{},",
                 "\"rejected_saturated\":{},\"rejected_queue_full\":{},",
                 "\"retry_after_hint\":{},\"evictions\":{},\"resumes\":{},",
-                "\"board_rotations\":{},\"grant_retries\":{},",
-                "\"backoff_seconds\":{:.6e},\"tenants_traced\":{},",
+                "\"board_rotations\":{},\"tenants_traced\":{},",
                 "\"bitwise_ok\":{},\"ok\":{}}}"
             ),
             self.seed,
@@ -143,8 +138,6 @@ impl FarmSoakOutcome {
             self.evictions,
             self.resumes,
             self.board_rotations,
-            self.grant_retries,
-            self.backoff_seconds,
             self.tenants_traced,
             self.bitwise_ok,
             self.ok()
@@ -203,7 +196,6 @@ pub fn farm_soak_run(seed: u64, cfg: &FarmSoakConfig) -> FarmSoakOutcome {
         .max_live_sessions(cfg.max_live)
         .quantum(cfg.quantum)
         .ckpt_every(cfg.ckpt_every)
-        .seed(seed)
         .build()
         .expect("soak config is valid");
     let mut farm = Farm::open(fcfg).expect("soak config is valid");
@@ -352,8 +344,6 @@ fn summarize(
         evictions: stats.evictions,
         resumes: stats.resumes,
         board_rotations: stats.board_rotations,
-        grant_retries: stats.grant_retries,
-        backoff_seconds: stats.backoff_seconds,
         tenants_traced,
         bitwise_ok,
         violations,

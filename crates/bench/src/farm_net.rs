@@ -269,7 +269,6 @@ pub fn farm_net_run(cfg: &FarmNetConfig) -> FarmNetOutcome {
             "--boards=3".into(),
             "--faults".into(),
             format!("--max-live={}", cfg.max_live),
-            format!("--seed={}", cfg.seed),
             "--idle-exit-ms=1500".into(),
             format!("--max-wall-ms={}", cfg.wall_cap.as_millis()),
         ]),

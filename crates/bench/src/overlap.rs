@@ -28,6 +28,7 @@
 
 use std::time::Instant;
 
+use grape6_ckpt::{fnv1a64_word, FNV_OFFSET};
 use grape6_core::engine::Grape6Engine;
 use grape6_core::integrator::{HermiteIntegrator, IntegratorConfig};
 use grape6_model::perf::{MachineLayout, PerfModel};
@@ -137,13 +138,8 @@ impl OverlapReport {
 
 /// FNV-1a over the bit patterns that define the integration state.
 pub fn state_hash(set: &ParticleSet) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: f64| {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |x: f64| h = fnv1a64_word(h, x.to_bits());
     for i in 0..set.n() {
         for v in [set.pos[i], set.vel[i], set.acc[i], set.jerk[i]] {
             eat(v.x);

@@ -17,6 +17,7 @@
 use std::path::Path;
 
 use grape6_ckpt::wire::{Dec, Enc};
+use grape6_ckpt::{fnv1a64_word, FNV_OFFSET};
 use grape6_net::cluster::ClusterApp;
 use grape6_net::exchange::{coalesced_wave, Wave, WaveOutcome};
 use grape6_net::fabric::run_ranks;
@@ -50,12 +51,7 @@ pub fn synthetic_records(rank: usize, step: u64, count: usize) -> Vec<JRecord> {
 /// that chains waves — [`run_waves`], the supervised [`WaveChainApp`],
 /// the chaos bin — folds the same bits the same way.
 pub fn eat_outcome(h: &mut u64, o: &WaveOutcome) {
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
+    let mut eat = |x: u64| *h = fnv1a64_word(*h, x);
     eat(o.t_min.to_bits());
     for r in &o.merged {
         eat(r.index);
@@ -78,7 +74,7 @@ pub fn run_waves(
     let rank = tr.rank();
     let p = tr.n_ranks();
     let pads = [STAGE_PAD; 8];
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     let mut t_seed = 0.5f64;
     for step in 0..steps {
         let t_mine = t_seed * (1.0 + rank as f64 * 0.125);
@@ -129,7 +125,7 @@ impl WaveChainApp {
             recs_per_rank,
             step: 0,
             t_seed: 0.5,
-            h: 0xcbf2_9ce4_8422_2325,
+            h: FNV_OFFSET,
         }
     }
 

@@ -40,7 +40,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 pub use blob::Blob;
-pub use digest::fnv1a64;
+pub use digest::{fnv1a64, fnv1a64_word, FNV_OFFSET};
 pub use state::{
     bits, bits3, unbits, unbits3, Checkpoint, EngineState, FaultCounterState, IntegratorState,
     NetEndpointState, RecoveryState, RunStatState, TraceState,

@@ -186,10 +186,7 @@ pub fn restore(
     icfg: IntegratorConfig,
     ckpt: &Checkpoint,
 ) -> Result<HermiteIntegrator<Grape6Engine>, RestoreError> {
-    let es = ckpt
-        .engine
-        .as_ref()
-        .ok_or_else(|| RestoreError::Mismatch("checkpoint has no engine state".into()))?;
+    let es = engine_state(ckpt)?;
     if let Some(plan) = plan {
         if plan.seed != es.plan_seed {
             return Err(RestoreError::Mismatch(format!(
@@ -198,29 +195,7 @@ pub fn restore(
             )));
         }
     }
-    let ist = &ckpt.integrator;
-    if !ist.is_consistent() {
-        return Err(RestoreError::Mismatch(
-            "integrator arrays are inconsistent".into(),
-        ));
-    }
-    let eps = icfg.softening.epsilon(ist.n);
-    if bits(eps) != ist.eps {
-        return Err(RestoreError::Mismatch(format!(
-            "softening ε from the configuration is {eps:e}; the checkpoint was taken at {:e}",
-            unbits(ist.eps)
-        )));
-    }
-    let engine = Grape6Engine::restore_from_state(cfg, plan, es)?;
-    let set = particles_from_state(ist);
-    let stats = stats_from_state(&ist.stats);
-    Ok(HermiteIntegrator::resume(
-        engine,
-        set,
-        icfg,
-        unbits(ist.t),
-        stats,
-    ))
+    resume_on(cfg, plan, icfg, ckpt, es)
 }
 
 /// Restore a checkpoint onto *different* hardware — the migration path a
@@ -251,14 +226,29 @@ pub fn restore_migrate(
     icfg: IntegratorConfig,
     ckpt: &Checkpoint,
 ) -> Result<HermiteIntegrator<Grape6Engine>, RestoreError> {
-    let es = ckpt
-        .engine
-        .as_ref()
-        .ok_or_else(|| RestoreError::Mismatch("checkpoint has no engine state".into()))?;
-    let mut es = es.clone();
+    let mut es = engine_state(ckpt)?.clone();
     es.plan_seed = plan.map(|p| p.seed).unwrap_or(0);
     es.masked.clear();
     es.pending_deaths.clear();
+    resume_on(cfg, plan, icfg, ckpt, &es)
+}
+
+fn engine_state(ckpt: &Checkpoint) -> Result<&grape6_ckpt::EngineState, RestoreError> {
+    ckpt.engine
+        .as_ref()
+        .ok_or_else(|| RestoreError::Mismatch("checkpoint has no engine state".into()))
+}
+
+/// What [`restore`] and [`restore_migrate`] share once they have settled
+/// on the engine state `es` to rebuild from: the consistency and
+/// softening guards, then the engine, particle set and statistics.
+fn resume_on(
+    cfg: &MachineConfig,
+    plan: Option<&FaultPlan>,
+    icfg: IntegratorConfig,
+    ckpt: &Checkpoint,
+    es: &grape6_ckpt::EngineState,
+) -> Result<HermiteIntegrator<Grape6Engine>, RestoreError> {
     let ist = &ckpt.integrator;
     if !ist.is_consistent() {
         return Err(RestoreError::Mismatch(
@@ -272,7 +262,7 @@ pub fn restore_migrate(
             unbits(ist.eps)
         )));
     }
-    let engine = Grape6Engine::restore_from_state(cfg, plan, &es)?;
+    let engine = Grape6Engine::restore_from_state(cfg, plan, es)?;
     let set = particles_from_state(ist);
     let stats = stats_from_state(&ist.stats);
     Ok(HermiteIntegrator::resume(

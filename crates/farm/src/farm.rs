@@ -32,9 +32,9 @@
 //! shape the wire client returns, so in-process and networked callers
 //! are interchangeable.
 //!
-//! Everything is driven in *virtual* time with seeded randomness (the
-//! retry backoff jitter comes from the fault subsystem's deterministic
-//! [`mix`]), so a farm run is reproducible bit for bit.
+//! Everything is driven in *virtual* time and every scheduler decision
+//! is a function of the submission order, so a farm run is reproducible
+//! bit for bit.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -42,12 +42,11 @@ use grape6_core::{
     restore_migrate, CheckpointPolicy, Grape6Engine, HermiteIntegrator, IntegratorConfig,
     RunSupervisor, SupervisorConfig,
 };
-use grape6_fault::rng::mix;
 use grape6_fault::FaultPlan;
 use grape6_model::calib::{GrapeTiming, HostProfile};
 use grape6_system::machine::MachineConfig;
-use grape6_trace::{HostRates, MeasuredBlockTime, Phase, Span, Tracer};
-use nbody_core::force::{EngineError, ForceEngine};
+use grape6_trace::{HostRates, MeasuredBlockTime, Span, Tracer};
+use nbody_core::force::EngineError;
 
 use crate::error::{FarmError, RetryAfter};
 use crate::pool::BoardPool;
@@ -79,29 +78,19 @@ pub struct FarmConfig {
     /// Default grant budget per session (`None` = no deadline); a
     /// tenant's [`TenantSpec::deadline_grants`] overrides it.
     pub deadline_grants: Option<u64>,
-    /// Supervisor step failures retried (with backoff) per grant before
-    /// the board is rotated out.
-    pub max_grant_retries: u32,
-    /// First retry backoff, virtual seconds (doubles per attempt).
-    pub backoff_base: f64,
-    /// Deterministic jitter added to each backoff, in permille of the
-    /// exponential term.
-    pub backoff_jitter_permille: u64,
     /// Integrator accuracy/scheduling parameters for every session.
     pub icfg: IntegratorConfig,
     /// Timing model charging checkpoints, reloads and self-tests.
     pub timing: GrapeTiming,
     /// Host profile for the per-tenant measured breakdown.
     pub host: HostProfile,
-    /// Seed for the backoff jitter stream.
-    pub seed: u64,
     /// Record per-tenant spans (the six-term breakdown needs this).
     pub trace: bool,
 }
 
 impl FarmConfig {
     /// Defaults around one board geometry: 2 boards, queue depth 4,
-    /// ceiling 8 sessions, 8-blockstep quanta and checkpoints, 2 retries.
+    /// ceiling 8 sessions, 8-blockstep quanta and checkpoints.
     pub fn new(board_machine: MachineConfig) -> Self {
         Self {
             board_machine,
@@ -112,13 +101,9 @@ impl FarmConfig {
             quantum: 8,
             ckpt_every: 8,
             deadline_grants: None,
-            max_grant_retries: 2,
-            backoff_base: 1e-3,
-            backoff_jitter_permille: 250,
             icfg: IntegratorConfig::default(),
             timing: GrapeTiming::paper_host(),
             host: HostProfile::athlon_xp_1800(),
-            seed: 0,
             trace: true,
         }
     }
@@ -138,21 +123,12 @@ impl FarmConfig {
             ("queue_depth", self.queue_depth == 0),
             ("max_live_sessions", self.max_live_sessions == 0),
             ("deadline_grants", self.deadline_grants == Some(0)),
-            ("max_grant_retries", self.max_grant_retries == 0),
         ] {
             if bad {
                 return Err(FarmError::InvalidConfig {
                     reason: format!("{what} must be nonzero"),
                 });
             }
-        }
-        if !(self.backoff_base.is_finite() && self.backoff_base > 0.0) {
-            return Err(FarmError::InvalidConfig {
-                reason: format!(
-                    "backoff_base must be finite and positive, got {}",
-                    self.backoff_base
-                ),
-            });
         }
         if self.board_plans.len() > self.boards {
             return Err(FarmError::InvalidConfig {
@@ -219,24 +195,6 @@ impl FarmConfigBuilder {
         self
     }
 
-    /// Supervisor step failures retried per grant before board rotation.
-    pub fn max_grant_retries(mut self, retries: u32) -> Self {
-        self.cfg.max_grant_retries = retries;
-        self
-    }
-
-    /// First retry backoff, virtual seconds (doubles per attempt).
-    pub fn backoff_base(mut self, base: f64) -> Self {
-        self.cfg.backoff_base = base;
-        self
-    }
-
-    /// Deterministic backoff jitter, permille of the exponential term.
-    pub fn backoff_jitter_permille(mut self, permille: u64) -> Self {
-        self.cfg.backoff_jitter_permille = permille;
-        self
-    }
-
     /// Integrator accuracy/scheduling parameters for every session.
     pub fn icfg(mut self, icfg: IntegratorConfig) -> Self {
         self.cfg.icfg = icfg;
@@ -252,12 +210,6 @@ impl FarmConfigBuilder {
     /// Host profile for the per-tenant measured breakdown.
     pub fn host(mut self, host: HostProfile) -> Self {
         self.cfg.host = host;
-        self
-    }
-
-    /// Seed for the backoff jitter stream.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -846,17 +798,12 @@ impl Farm {
         board
     }
 
-    /// One scheduler grant: up to `quantum` supervised blocksteps, with
-    /// farm-level retry + deterministic-jitter backoff around supervisor
-    /// failures.  Handles completion, deadline kill, and board rotation.
+    /// One scheduler grant: up to `quantum` supervised blocksteps.
+    /// Handles completion, deadline kill, and board rotation.
     fn grant(&mut self, sid: SessionId) {
         self.grant_seq += 1;
         self.report.stats.grants += 1;
         let quantum = self.cfg.quantum;
-        let max_retries = self.cfg.max_grant_retries;
-        let backoff_base = self.cfg.backoff_base;
-        let jitter_permille = self.cfg.backoff_jitter_permille;
-        let seed = self.cfg.seed;
 
         let sess = self.sessions.get_mut(&sid).expect("session exists");
         sess.grants_used += 1;
@@ -869,62 +816,24 @@ impl Farm {
             }
         }
         let t_end = sess.t_end;
-        let grants_used = sess.grants_used;
         let SessionState::Resident { ref mut sup, .. } = sess.state else {
             unreachable!("grant() called on a non-resident session");
         };
 
         let mut steps = 0u64;
-        let mut retries_local = 0u64;
-        let mut backoff_local = 0.0f64;
-        let end = 'quantum: loop {
+        let end = loop {
             if steps >= quantum {
                 break GrantEnd::Quantum;
             }
             if sup.integrator().time() >= t_end {
                 break GrantEnd::Finished;
             }
-            let mut attempt: u32 = 0;
-            loop {
-                match sup.step() {
-                    Ok(_) => {
-                        steps += 1;
-                        break;
-                    }
-                    Err(e) => {
-                        attempt += 1;
-                        retries_local += 1;
-                        // Exponential backoff with the fault subsystem's
-                        // deterministic jitter: same seed, same stream.
-                        let jitter = mix(
-                            seed,
-                            u64::from(sid.tenant),
-                            u64::from(sid.index),
-                            grants_used,
-                            u64::from(attempt),
-                        ) % (jitter_permille + 1);
-                        let dur = backoff_base
-                            * f64::from(1u32 << (attempt - 1).min(16))
-                            * (1.0 + jitter as f64 / 1000.0);
-                        backoff_local += dur;
-                        let it = sup.integrator_mut();
-                        let t0 = it.engine().vt();
-                        it.engine_mut().set_vt(t0 + dur);
-                        it.engine_mut().tracer_mut().record(Span::new(
-                            Phase::Backoff,
-                            t0,
-                            t0 + dur,
-                        ));
-                        if attempt > max_retries {
-                            break 'quantum GrantEnd::BoardFault(e.to_string());
-                        }
-                    }
-                }
+            match sup.step() {
+                Ok(_) => steps += 1,
+                Err(e) => break GrantEnd::BoardFault(e.to_string()),
             }
         };
         sess.blocksteps += steps;
-        self.report.stats.grant_retries += retries_local;
-        self.report.stats.backoff_seconds += backoff_local;
         {
             let tr = self
                 .report
@@ -940,8 +849,7 @@ impl Farm {
             GrantEnd::Quantum => {}
             GrantEnd::Finished => self.finish_completed(sid),
             GrantEnd::BoardFault(detail) => {
-                // The supervisor's whole ladder failed repeatedly on this
-                // board: park the session at its last good checkpoint and
+                // The supervisor's whole ladder failed on this board: park the session at its last good checkpoint and
                 // pull the board from rotation.  The session resumes on
                 // another board at its next grant.
                 let sess = self.sessions.get_mut(&sid).expect("session exists");
@@ -1131,10 +1039,6 @@ mod tests {
                 "deadline_grants",
                 FarmConfig::builder(unit()).deadline_grants(Some(0)),
             ),
-            (
-                "backoff_base",
-                FarmConfig::builder(unit()).backoff_base(f64::NAN),
-            ),
         ] {
             match b.build() {
                 Err(FarmError::InvalidConfig { reason }) => {
@@ -1146,10 +1050,9 @@ mod tests {
         let ok = FarmConfig::builder(unit())
             .boards(3)
             .quantum(4)
-            .seed(9)
             .build()
             .unwrap();
-        assert_eq!((ok.boards, ok.quantum, ok.seed), (3, 4, 9));
+        assert_eq!((ok.boards, ok.quantum), (3, 4));
     }
 
     #[test]
@@ -1444,8 +1347,6 @@ mod tests {
             report.stats
         );
         assert!(report.stats.resumes >= 1, "stats: {:?}", report.stats);
-        assert!(report.stats.grant_retries >= 1, "stats: {:?}", report.stats);
-        assert!(report.stats.backoff_seconds > 0.0);
         let got = farm.take_result(sid).unwrap();
         assert!(bits_equal(&got.particles, &dedicated(48, 11, 0.125)));
     }

@@ -14,9 +14,8 @@
 //!   `retry_after`) and beyond a per-tenant queue depth with
 //!   [`FarmError::QueueFull`] — typed backpressure, not panics;
 //! * a **deficit weighted-round-robin scheduler** grants quanta of
-//!   blocksteps in proportion to tenant weights, enforces per-session
-//!   grant deadlines, and retries transient failures with the fault
-//!   subsystem's deterministic-jitter exponential backoff;
+//!   blocksteps in proportion to tenant weights and enforces
+//!   per-session grant deadlines;
 //! * **checkpoint eviction**: when sessions outnumber boards, the
 //!   least-recently-granted session is parked as a bitwise-exact
 //!   checkpoint and later resumed — possibly on a *different* board —

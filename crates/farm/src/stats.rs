@@ -38,10 +38,6 @@ pub struct FarmStats {
     pub resumes: u64,
     /// Boards pulled from rotation.
     pub board_rotations: u64,
-    /// Supervisor step failures retried at farm level with backoff.
-    pub grant_retries: u64,
-    /// Virtual seconds spent in farm-level retry backoff.
-    pub backoff_seconds: f64,
     /// Sessions killed by their grant deadline.
     pub deadline_failures: u64,
     /// Live sessions cancelled by their client.

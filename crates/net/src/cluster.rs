@@ -43,7 +43,7 @@ use grape6_ckpt::wire::{Dec, Enc};
 use grape6_ckpt::{Blob, CkptError};
 
 use crate::exchange::{Wave, WaveOutcome};
-use crate::failover::{Group, HeartbeatConfig, RankMonitor};
+use crate::failover::{Group, RankMonitor};
 use crate::transport::{StreamConfig, StreamKind, StreamTransport, Transport, TransportError};
 use crate::wire::{Frame, JRecord};
 
@@ -108,8 +108,9 @@ pub struct ClusterConfig {
     pub ckpt_every: u64,
     /// Send a heartbeat round every this many steps (0 = never).
     pub hb_every: u64,
-    /// Missed-heartbeat policy for the liveness monitor.
-    pub hb: HeartbeatConfig,
+    /// Consecutive silent deadline windows before the liveness monitor
+    /// declares a peer dead.
+    pub miss_budget: u32,
     /// After a local suspicion, how long to drain peers for an
     /// already-running recovery before initiating one.
     pub grace: Duration,
@@ -133,7 +134,7 @@ impl ClusterConfig {
             dir: dir.to_path_buf(),
             ckpt_every: 8,
             hb_every: 4,
-            hb: HeartbeatConfig::default(),
+            miss_budget: 3,
             grace: Duration::from_millis(300),
             recover_window: Duration::from_secs(3),
             respawn_wait: Duration::from_secs(5),
@@ -474,7 +475,7 @@ impl<A: ClusterApp> ClusterSupervisor<A> {
             n,
             gen: 0,
             group: Group::full(n),
-            monitor: RankMonitor::new(orank, n, cfg.hb),
+            monitor: RankMonitor::new(n, cfg.miss_budget),
             synced_ckpt: 0,
             last_capture: None,
             mem_ckpts: Vec::new(),
@@ -554,7 +555,7 @@ impl<A: ClusterApp> ClusterSupervisor<A> {
         let mut members = manifest.survivors.clone();
         members.push(orank);
         let group = Group::new(members);
-        let mut monitor = RankMonitor::new(orank, n, cfg.hb);
+        let mut monitor = RankMonitor::new(n, cfg.miss_budget);
         for r in 0..n {
             if !group.contains(r) {
                 monitor.mark_dead(r);
@@ -660,7 +661,6 @@ impl<A: ClusterApp> ClusterSupervisor<A> {
                 self.heartbeats_sent += 1;
             }
         }
-        self.monitor.advance_epoch();
     }
 
     /// One blockstep's wave over the current group.
@@ -1111,12 +1111,7 @@ fn load_rank_ckpt(dir: &Path, orank: usize, epoch: u64) -> Result<Vec<u8>, Clust
 mod tests {
     use super::*;
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-    fn eat(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(FNV_PRIME)
-    }
+    use grape6_ckpt::{fnv1a64_word as eat, FNV_OFFSET};
 
     /// A tiny wave-chained computation whose per-orank inputs are pure
     /// functions of `(orank, step, folded state)` — the contract that

@@ -32,12 +32,9 @@
 //! ## Typed receive paths
 //!
 //! Every way a receive can fail is an observable event, not a panic:
-//! [`Endpoint::recv_checked`] returns [`RecvError`] (a fault-plan loss or
-//! a peer that dropped its endpoint), and [`Endpoint::recv_or_down`]
-//! separates orderly departure (`Ok(None)`, after the peer's in-flight
-//! traffic has drained) from link loss (`Err(LinkError)`).  The bare
-//! panicking `recv` of earlier revisions is gone — every caller sees
-//! typed errors.
+//! [`Endpoint::recv_checked`] returns [`RecvError`] — a fault-plan loss,
+//! or a peer that dropped its endpoint (reported once its in-flight
+//! traffic has drained).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use grape6_fault::{Delivery, NetFaultPlan};
@@ -285,8 +282,7 @@ impl<T: Send> Endpoint<T> {
     /// `false` is returned.  The send-side cost is charged either way —
     /// the sender cannot know the peer is gone until the NIC has done its
     /// work.  This is the failover-safe send: survivors keep talking to a
-    /// rank the [`crate::failover::RankMonitor`] has not yet declared dead
-    /// without risking a panic.
+    /// rank nobody has declared dead yet without risking a panic.
     pub fn send_lossy(&mut self, to: usize, payload: T, wire_bytes: usize) -> bool {
         assert!(to != self.rank, "self-send is not a network operation");
         let t0 = self.clock;
@@ -335,22 +331,6 @@ impl<T: Send> Endpoint<T> {
             .recv()
             .map_err(|_| RecvError::Down { from, to })?;
         self.process_incoming(from, msg).map_err(RecvError::Lost)
-    }
-
-    /// Blocking receive from `from` that treats a departed peer as an
-    /// observable event: returns `Ok(None)` once `from` has dropped its
-    /// endpoint *and* every message it sent before dying has been consumed
-    /// (per-peer FIFO drains first, so a rank is never declared gone while
-    /// its traffic is still in flight).  This is the primitive the
-    /// [`crate::failover::RankMonitor`] builds missed-heartbeat detection
-    /// on.  A message declared lost by the fault plan is a distinct event
-    /// — the peer may still be alive behind a bad link — and surfaces as
-    /// `Err(LinkError)`.
-    pub fn recv_or_down(&mut self, from: usize) -> Result<Option<T>, LinkError> {
-        let Ok(msg) = self.rx[from].recv() else {
-            return Ok(None);
-        };
-        self.process_incoming(from, msg).map(Some)
     }
 
     /// Apply causality, the fault plan and tracing to one received message.

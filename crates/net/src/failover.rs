@@ -1,55 +1,20 @@
-//! Rank failure: heartbeats, death detection, and survivor topology.
+//! Rank failure: survivor topology and the liveness record.
 //!
 //! The paper's cluster is 16 hosts on Gigabit Ethernet running for weeks;
-//! a host that locks up must not take the run with it.  This module is
-//! the fabric-level half of failover:
+//! a host that locks up must not take the run with it.  Detection and
+//! recovery live in [`crate::cluster::ClusterSupervisor`]; this module
+//! holds the two small pieces of state it keeps per rank:
 //!
-//! * [`RankMonitor`] — each rank exchanges heartbeat messages with every
-//!   peer it believes alive; a peer that dropped its endpoint is detected
-//!   by [`Endpoint::recv_or_down`] once its in-flight traffic has
-//!   drained, and declared dead after the configured missed-heartbeat
-//!   timeout is charged to the survivor's clock;
 //! * [`Group`] — the surviving topology: a sorted member list with
-//!   rank ↔ virtual-rank translation, so collectives re-form over any
+//!   rank ↔ virtual-rank translation, so the wave re-forms over any
 //!   (possibly non-power-of-two) survivor set;
-//! * [`group_barrier`] / [`group_allgather`] — the dissemination barrier
-//!   and ring all-gather restricted to a group, used by the parallel
-//!   algorithms after failover.
+//! * [`RankMonitor`] — who is believed alive, and how many consecutive
+//!   deadline windows each peer has been silent for.
 //!
-//! What this module deliberately does *not* do is touch particles: the
-//! copy algorithm keeps a full replica of the system on every rank, so
-//! "redistributing the dead rank's j-particles" is pure index arithmetic
-//! over the new [`Group`] — and because the block floating-point force
-//! reduction of §3.4 is partition-independent, the survivors' forces are
-//! bitwise identical to the fault-free run's.  The integration of the two
-//! lives in `grape6-parallel`'s failover algorithm.
-
-use crate::collectives::CollectiveError;
-use crate::fabric::Endpoint;
-use grape6_trace::BarrierAlgo;
-
-/// Wire size of one heartbeat message (epoch counter + framing).
-pub const HEARTBEAT_BYTES: usize = 16;
-
-/// Missed-heartbeat policy.
-#[derive(Clone, Copy, Debug)]
-pub struct HeartbeatConfig {
-    /// Nominal heartbeat period, seconds of virtual time.
-    pub period: f64,
-    /// Consecutive missed beats before a peer is declared dead; the
-    /// detecting rank's clock is charged `period × miss_budget` — the
-    /// time it sat waiting before giving up on the peer.
-    pub miss_budget: u32,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        Self {
-            period: 1.0e-3,
-            miss_budget: 3,
-        }
-    }
-}
+//! Neither touches particles: shrinking the group moves *work*, never
+//! data, and because the block floating-point force reduction of §3.4 is
+//! partition-independent the survivors' forces are bitwise identical to
+//! the fault-free run's.
 
 /// A set of live ranks: sorted members with rank ↔ virtual-rank
 /// translation.  Collectives over a group address `0..len()` virtual
@@ -113,43 +78,26 @@ impl Group {
     }
 }
 
-/// Per-rank liveness tracker.
-///
-/// The monitor is deliberately message-type agnostic: the caller's wire
-/// type `T` multiplexes heartbeats with its data traffic, so
-/// [`RankMonitor::exchange`] takes an encode closure (epoch → `T`) and a
-/// decode closure (`T` → epoch).  Per-peer FIFO ordering guarantees that
-/// as long as every rank alternates `exchange` with its data phase in
-/// lockstep, a heartbeat receive never consumes a data message.
+/// Per-rank liveness record, fed by whoever reads the wire: a frame
+/// from a peer is a beat, an expired deadline window is a silence, a
+/// closed stream is a death.
 pub struct RankMonitor {
-    me: usize,
     alive: Vec<bool>,
-    /// Consecutive silent observations per peer (observation API only;
-    /// reset by [`RankMonitor::observe_beat`]).
+    /// Consecutive silent deadline windows per peer (reset by
+    /// [`RankMonitor::observe_beat`]).
     misses: Vec<u32>,
-    epoch: u64,
-    cfg: HeartbeatConfig,
-    timeout_seconds: f64,
+    miss_budget: u32,
 }
 
 impl RankMonitor {
-    /// A monitor at rank `me` of a `p`-rank fabric, everyone presumed
-    /// alive.
-    pub fn new(me: usize, p: usize, cfg: HeartbeatConfig) -> Self {
-        assert!(me < p);
+    /// A monitor over a `p`-rank fabric, everyone presumed alive; a peer
+    /// is declared dead after `miss_budget` consecutive silences.
+    pub fn new(p: usize, miss_budget: u32) -> Self {
         Self {
-            me,
             alive: vec![true; p],
             misses: vec![0; p],
-            epoch: 0,
-            cfg,
-            timeout_seconds: 0.0,
+            miss_budget,
         }
-    }
-
-    /// Heartbeat rounds completed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Whether `rank` is currently believed alive.
@@ -157,45 +105,22 @@ impl RankMonitor {
         self.alive[rank]
     }
 
-    /// Live ranks (including this one) as a [`Group`].
-    pub fn group(&self) -> Group {
-        Group::new(
-            self.alive
-                .iter()
-                .enumerate()
-                .filter_map(|(r, &a)| a.then_some(r))
-                .collect(),
-        )
-    }
-
-    /// Total missed-heartbeat timeout charged to this rank's clock so far
-    /// — the detection cost of every death this rank observed.
-    pub fn timeout_seconds(&self) -> f64 {
-        self.timeout_seconds
-    }
-
-    /// Observation API, for transports that deliver heartbeats inline
-    /// with data (the real [`StreamTransport`](crate::StreamTransport)
-    /// cluster) rather than through a dedicated [`Self::exchange`]
-    /// round: record a heartbeat (or any live traffic) seen from `rank`,
+    /// Record a heartbeat (or any live traffic) seen from `rank`,
     /// clearing its silence streak.
     pub fn observe_beat(&mut self, rank: usize) {
         self.misses[rank] = 0;
     }
 
-    /// Record one silent deadline window for `rank`.  At
-    /// [`HeartbeatConfig::miss_budget`] consecutive silences the rank is
-    /// declared dead — the cumulative `period × miss_budget` detection
-    /// time is charged to [`Self::timeout_seconds`] — and `true` is
+    /// Record one silent deadline window for `rank`.  At `miss_budget`
+    /// consecutive silences the rank is declared dead and `true` is
     /// returned.  Already-dead ranks stay dead and return `true`.
     pub fn observe_silence(&mut self, rank: usize) -> bool {
         if !self.alive[rank] {
             return true;
         }
         self.misses[rank] += 1;
-        if self.misses[rank] >= self.cfg.miss_budget {
+        if self.misses[rank] >= self.miss_budget {
             self.alive[rank] = false;
-            self.timeout_seconds += self.cfg.period * self.cfg.miss_budget as f64;
             true
         } else {
             false
@@ -203,8 +128,7 @@ impl RankMonitor {
     }
 
     /// Declare `rank` dead immediately (a hangup is unambiguous — no
-    /// miss budget applies, and no detection timeout is charged beyond
-    /// what was already observed).
+    /// miss budget applies).
     pub fn mark_dead(&mut self, rank: usize) {
         self.alive[rank] = false;
     }
@@ -214,121 +138,6 @@ impl RankMonitor {
         self.alive[rank] = true;
         self.misses[rank] = 0;
     }
-
-    /// Count one heartbeat epoch driven by an external schedule (the
-    /// observation API's counterpart to the bump inside
-    /// [`Self::exchange`]).
-    pub fn advance_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// One heartbeat round: send a beat to every live peer, then collect
-    /// one from each.  A peer whose endpoint is gone (after its traffic
-    /// drained) — or whose heartbeat the fault plan declared lost after
-    /// exhausting the retry budget, which is indistinguishable from an
-    /// unreachable host — is declared dead: the missed-heartbeat timeout
-    /// `period × miss_budget` is charged to this rank's clock, and the
-    /// peer leaves the live set.  Returns the ranks newly declared dead,
-    /// in ascending order.
-    ///
-    /// `mk` wraps an epoch into the caller's wire type; `decode` unwraps
-    /// it (returning `None` is a protocol violation — a data message where
-    /// a heartbeat was due — and panics, since the lockstep schedule makes
-    /// it a bug, not a fault).
-    pub fn exchange<T, M, D>(&mut self, ep: &mut Endpoint<T>, mk: M, decode: D) -> Vec<usize>
-    where
-        T: Send,
-        M: Fn(u64) -> T,
-        D: Fn(T) -> Option<u64>,
-    {
-        self.epoch += 1;
-        let peers: Vec<usize> = (0..self.alive.len())
-            .filter(|&r| r != self.me && self.alive[r])
-            .collect();
-        for &p in &peers {
-            // Lossy: the peer may already be gone without being declared.
-            ep.send_lossy(p, mk(self.epoch), HEARTBEAT_BYTES);
-        }
-        let mut dead = Vec::new();
-        for &p in &peers {
-            match ep.recv_or_down(p) {
-                Ok(Some(msg)) => {
-                    let got =
-                        decode(msg).expect("protocol violation: data where a heartbeat was due");
-                    assert_eq!(
-                        got, self.epoch,
-                        "heartbeat epoch skew from rank {p}: the fabric is not in lockstep"
-                    );
-                }
-                // Endpoint gone, or heartbeat lost after every retry: the
-                // peer is unreachable either way — that is precisely what
-                // missed-heartbeat detection exists to catch.
-                Ok(None) | Err(_) => {
-                    let timeout = self.cfg.period * self.cfg.miss_budget as f64;
-                    ep.advance(timeout);
-                    self.timeout_seconds += timeout;
-                    self.alive[p] = false;
-                    dead.push(p);
-                }
-            }
-        }
-        dead
-    }
-}
-
-/// Dissemination barrier over a [`Group`]: ⌈log₂ m⌉ rounds among the `m`
-/// members, any group size.  A rank outside the group returns
-/// immediately.  Returns the algorithm that ran (always
-/// [`BarrierAlgo::Dissemination`] — groups are arbitrary survivor sets).
-pub fn group_barrier<T: Send + Default>(
-    ep: &mut Endpoint<T>,
-    group: &Group,
-) -> Result<BarrierAlgo, CollectiveError> {
-    let m = group.len();
-    let Some(vr) = group.vrank(ep.rank()) else {
-        return Ok(BarrierAlgo::Dissemination);
-    };
-    let mut step = 1usize;
-    while step < m {
-        let to = group.rank_at((vr + step) % m);
-        let from = group.rank_at((vr + m - step) % m);
-        ep.send_lossy(to, T::default(), 8);
-        ep.recv_checked(from)?;
-        step <<= 1;
-    }
-    Ok(BarrierAlgo::Dissemination)
-}
-
-/// Ring all-gather over a [`Group`]: every member contributes `mine`;
-/// returns the contributions indexed *by member position* (index `i`
-/// belongs to `group.rank_at(i)`).  A rank outside the group gets only
-/// its own contribution back.
-pub fn group_allgather<T: Send + Clone>(
-    ep: &mut Endpoint<T>,
-    group: &Group,
-    mine: T,
-    bytes: usize,
-) -> Result<Vec<T>, CollectiveError> {
-    let m = group.len();
-    let Some(vr) = group.vrank(ep.rank()) else {
-        return Ok(vec![mine]);
-    };
-    if m == 1 {
-        return Ok(vec![mine]);
-    }
-    let right = group.rank_at((vr + 1) % m);
-    let left = group.rank_at((vr + m - 1) % m);
-    // Same shift/reverse/rotate dance as the full-fabric allgather, in
-    // virtual-rank coordinates.
-    let mut out: Vec<T> = Vec::with_capacity(m);
-    out.push(mine);
-    for round in 0..m - 1 {
-        ep.send_lossy(right, out[round].clone(), bytes);
-        out.push(ep.recv_checked(left)?);
-    }
-    out.reverse();
-    out.rotate_right((vr + 1) % m);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -353,57 +162,19 @@ mod tests {
     }
 
     #[test]
-    fn monitor_detects_a_dead_rank_and_charges_the_timeout() {
-        let cfg = HeartbeatConfig {
-            period: 1.0e-3,
-            miss_budget: 3,
-        };
-        let out = run_ranks::<u64, Option<(Vec<usize>, f64, Group)>, _>(
-            3,
-            LinkProfile::ideal(),
-            move |mut ep| {
-                if ep.rank() == 2 {
-                    // Dies before its first heartbeat.
-                    return None;
-                }
-                let mut mon = RankMonitor::new(ep.rank(), 3, cfg);
-                let dead = mon.exchange(&mut ep, |e| e, Some);
-                assert!(mon.is_alive(0) && mon.is_alive(1) && !mon.is_alive(2));
-                // The survivors' group still works as a topology.
-                let g = mon.group();
-                group_barrier(&mut ep, &g).unwrap();
-                Some((dead, mon.timeout_seconds(), g))
-            },
-        );
-        for r in 0..2 {
-            let (dead, timeout, g) = out[r].clone().unwrap();
-            assert_eq!(dead, vec![2], "rank {r}");
-            assert_eq!(timeout, 3.0e-3, "rank {r}");
-            assert_eq!(g.members(), &[0, 1], "rank {r}");
-        }
-        assert!(out[2].is_none());
-    }
-
-    #[test]
     fn observation_api_applies_the_miss_budget_and_supports_revival() {
-        let cfg = HeartbeatConfig {
-            period: 2.0e-3,
-            miss_budget: 3,
-        };
-        let mut mon = RankMonitor::new(0, 4, cfg);
+        let mut mon = RankMonitor::new(4, 3);
         // Two silences, then a beat: the streak resets, nobody dies.
         assert!(!mon.observe_silence(2));
         assert!(!mon.observe_silence(2));
         mon.observe_beat(2);
         assert!(!mon.observe_silence(2));
         assert!(mon.is_alive(2));
-        assert_eq!(mon.timeout_seconds(), 0.0);
         // Three consecutive silences exhaust the budget.
         assert!(!mon.observe_silence(3));
         assert!(!mon.observe_silence(3));
         assert!(mon.observe_silence(3));
         assert!(!mon.is_alive(3));
-        assert_eq!(mon.timeout_seconds(), 6.0e-3);
         // Dead stays dead until revived.
         assert!(mon.observe_silence(3));
         mon.revive(3);
@@ -411,43 +182,7 @@ mod tests {
         assert!(!mon.observe_silence(3));
         // A hangup is immediate.
         mon.mark_dead(1);
-        assert_eq!(mon.group().members(), &[0, 2, 3]);
-        mon.advance_epoch();
-        assert_eq!(mon.epoch(), 1);
-    }
-
-    #[test]
-    fn healthy_monitor_declares_nobody_dead() {
-        let out = run_ranks::<u64, u64, _>(4, LinkProfile::ideal(), |mut ep| {
-            let mut mon = RankMonitor::new(ep.rank(), 4, HeartbeatConfig::default());
-            for _ in 0..5 {
-                assert!(mon.exchange(&mut ep, |e| e, Some).is_empty());
-            }
-            assert_eq!(mon.timeout_seconds(), 0.0);
-            mon.epoch()
-        });
-        assert_eq!(out, vec![5; 4]);
-    }
-
-    #[test]
-    fn group_allgather_over_a_non_power_of_two_survivor_set() {
-        // 5-rank fabric, rank 1 and rank 4 dead: {0, 2, 3} re-form.
-        let group = Group::new(vec![0, 2, 3]);
-        let g2 = group.clone();
-        let out =
-            run_ranks::<usize, Option<Vec<usize>>, _>(5, LinkProfile::ideal(), move |mut ep| {
-                if !g2.contains(ep.rank()) {
-                    return None;
-                }
-                let mine = ep.rank() * 10;
-                let vals = group_allgather(&mut ep, &g2, mine, 8).unwrap();
-                group_barrier(&mut ep, &g2).unwrap();
-                Some(vals)
-            });
-        for &r in group.members() {
-            assert_eq!(out[r].as_deref(), Some(&[0, 20, 30][..]), "rank {r}");
-        }
-        assert!(out[1].is_none() && out[4].is_none());
+        assert!(!mon.is_alive(1) && mon.is_alive(0));
     }
 
     #[test]
@@ -458,27 +193,10 @@ mod tests {
             }
             // The peer may or may not have exited yet; drain until the
             // channel reports it gone, then further sends must fail soft.
-            while ep.recv_or_down(1).expect("lossless fabric").is_some() {}
+            while ep.recv_checked(1).is_ok() {}
             Some(ep.send_lossy(1, 7, 8))
         });
         assert_eq!(flags[0], Some(false));
-    }
-
-    #[test]
-    fn recv_or_down_drains_buffered_traffic_before_declaring_death() {
-        let out = run_ranks::<u8, Vec<u8>, _>(2, LinkProfile::ideal(), |mut ep| {
-            if ep.rank() == 1 {
-                ep.send(0, 10, 8);
-                ep.send(0, 11, 8);
-                return vec![]; // dies with two messages in flight
-            }
-            let mut got = Vec::new();
-            while let Some(v) = ep.recv_or_down(1).expect("lossless fabric") {
-                got.push(v);
-            }
-            got
-        });
-        assert_eq!(out[0], vec![10, 11]);
     }
 
     #[test]
@@ -494,7 +212,7 @@ mod tests {
             assert_eq!(st.rank, ep.rank());
             assert_eq!(st.clock, ep.clock().to_bits());
             // A wrong-rank restore is refused…
-            let mut other = st.clone();
+            let mut other = st;
             other.rank += 1;
             assert!(!ep.restore_counters(&other));
             // …the matching one reproduces clock and counters exactly.

@@ -60,7 +60,7 @@ pub use cluster::{
 pub use collectives::{CollectiveCost, CollectiveError};
 pub use exchange::{coalesced_wave, Wave, WaveOutcome};
 pub use fabric::{run_ranks, run_ranks_faulty, Endpoint, EndpointStats, LinkError, RecvError};
-pub use failover::{group_allgather, group_barrier, Group, HeartbeatConfig, RankMonitor};
+pub use failover::{Group, RankMonitor};
 pub use link::LinkProfile;
 pub use transport::{
     dial_service, publish_service_addr, wait_for_service_addr, FrameIoError, FramedConn,

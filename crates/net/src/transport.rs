@@ -317,6 +317,26 @@ enum Listener {
 }
 
 impl Listener {
+    /// Bind non-blocking (so accepts can poll against a deadline): TCP on
+    /// an ephemeral loopback port, or a UDS socket at `sock` (unused for
+    /// TCP).  Returns the listener and the address peers dial.
+    fn bind(kind: StreamKind, sock: &Path) -> std::io::Result<(Self, String)> {
+        match kind {
+            StreamKind::Tcp => {
+                let l = TcpListener::bind("127.0.0.1:0")?;
+                l.set_nonblocking(true)?;
+                let addr = l.local_addr()?.to_string();
+                Ok((Listener::Tcp(l), addr))
+            }
+            StreamKind::Uds => {
+                let _ = std::fs::remove_file(sock);
+                let l = UnixListener::bind(sock)?;
+                l.set_nonblocking(true)?;
+                Ok((Listener::Uds(l), sock.to_string_lossy().into_owned()))
+            }
+        }
+    }
+
     /// Non-blocking accept attempt: `Ok(Some)` on a new connection,
     /// `Ok(None)` when nobody is waiting.
     fn try_accept(&self) -> std::io::Result<Option<Stream>> {
@@ -402,17 +422,18 @@ impl FramedConn {
         }
     }
 
+    /// A connection whose every write is bounded: one that cannot
+    /// complete within `write_deadline` fails like a hangup.
+    fn bounded(stream: Stream, write_deadline: Duration) -> Result<Self, TransportError> {
+        stream
+            .set_write_timeout(Some(write_deadline))
+            .map_err(|e| TransportError::Io(e.to_string()))?;
+        Ok(Self::new(stream))
+    }
+
     /// Bytes buffered from a partially received frame.
     pub fn buffered(&self) -> usize {
         self.rx.len()
-    }
-
-    /// Bound every subsequent write; a write that cannot complete within
-    /// the deadline fails like a hangup.
-    pub fn set_write_deadline(&self, d: Duration) -> Result<(), FrameIoError> {
-        self.stream
-            .set_write_timeout(Some(d))
-            .map_err(|e| FrameIoError::Io(e.to_string()))
     }
 
     /// Send one length-prefixed frame payload.
@@ -602,23 +623,8 @@ impl StreamTransport {
     ) -> Result<Self, TransportError> {
         let io = |e: std::io::Error| TransportError::Io(e.to_string());
         std::fs::create_dir_all(dir).map_err(io)?;
-        // Bind (non-blocking, so accepts can poll against a deadline)
-        // and publish the nonce-stamped address.
-        let (listener, addr) = match kind {
-            StreamKind::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0").map_err(io)?;
-                l.set_nonblocking(true).map_err(io)?;
-                let a = l.local_addr().map_err(io)?.to_string();
-                (Listener::Tcp(l), a)
-            }
-            StreamKind::Uds => {
-                let sock = dir.join(sock_name(rank, gen));
-                let _ = std::fs::remove_file(&sock);
-                let l = UnixListener::bind(&sock).map_err(io)?;
-                l.set_nonblocking(true).map_err(io)?;
-                (Listener::Uds(l), sock.to_string_lossy().into_owned())
-            }
-        };
+        // Bind and publish the nonce-stamped address.
+        let (listener, addr) = Listener::bind(kind, &dir.join(sock_name(rank, gen))).map_err(io)?;
         publish_addr(dir, rank, gen, cfg.nonce, &addr)?;
 
         let mut peers: Vec<Option<FramedConn>> = (0..n_ranks).map(|_| None).collect();
@@ -628,23 +634,17 @@ impl StreamTransport {
         for &peer in lower {
             let peer_addr = wait_for_addr(dir, peer, 0, cfg)?;
             let stream = connect_with_retry(&peer_addr, kind, cfg)?;
-            stream
-                .set_write_timeout(Some(cfg.write_deadline))
-                .map_err(io)?;
-            let mut p = FramedConn::new(stream);
+            let mut p = FramedConn::bounded(stream, cfg.write_deadline)?;
             send_hello(&mut p.stream, rank, cfg.nonce, gen).map_err(io)?;
             peers[peer] = Some(p);
         }
         // Accept one connection from every higher peer.
         let deadline = Instant::now() + cfg.rendezvous_timeout;
         for _ in higher {
-            let (stream, peer, _peer_gen) = accept_one(&listener, cfg, gen, deadline, |peer| {
+            let (stream, peer, _peer_gen) = accept_one(&listener, cfg, deadline, |peer| {
                 higher.contains(&peer) && peers[peer].is_none()
             })?;
-            stream
-                .set_write_timeout(Some(cfg.write_deadline))
-                .map_err(io)?;
-            peers[peer] = Some(FramedConn::new(stream));
+            peers[peer] = Some(FramedConn::bounded(stream, cfg.write_deadline)?);
         }
         Ok(Self {
             rank,
@@ -682,25 +682,18 @@ impl StreamTransport {
         if peer > self.rank {
             // The rejoiner dials us; accept and verify identity.
             let deadline = Instant::now() + cfg.rendezvous_timeout;
-            let (stream, _, peer_gen) =
-                accept_one(&self.listener, &cfg, gen, deadline, |p| p == peer)?;
+            let (stream, _, peer_gen) = accept_one(&self.listener, &cfg, deadline, |p| p == peer)?;
             if peer_gen != gen {
                 return Err(TransportError::Io(format!(
                     "rejoin: peer {peer} arrived at generation {peer_gen}, expected {gen}"
                 )));
             }
-            stream
-                .set_write_timeout(Some(cfg.write_deadline))
-                .map_err(io)?;
-            self.peers[peer] = Some(FramedConn::new(stream));
+            self.peers[peer] = Some(FramedConn::bounded(stream, cfg.write_deadline)?);
         } else {
             // We dial the rejoiner's fresh generation-tagged listener.
             let addr = wait_for_addr(&self.dir, peer, gen, &cfg)?;
             let stream = connect_with_retry(&addr, self.kind, &cfg)?;
-            stream
-                .set_write_timeout(Some(cfg.write_deadline))
-                .map_err(io)?;
-            let mut p = FramedConn::new(stream);
+            let mut p = FramedConn::bounded(stream, cfg.write_deadline)?;
             send_hello(&mut p.stream, self.rank, cfg.nonce, gen).map_err(io)?;
             self.peers[peer] = Some(p);
         }
@@ -760,50 +753,27 @@ impl StreamTransport {
         self.torn_frames
     }
 
-    /// Receive with an explicit deadline budget: attempt `i` of
-    /// `attempts` waits `base * 2^i`, then [`TransportError::Timeout`].
-    /// A timeout leaves the stream and its partial bytes intact.
+    /// Receive with an explicit deadline budget
+    /// ([`FramedConn::recv_payload_deadline`]: attempt `i` of `attempts`
+    /// waits `base * 2^i`), then [`TransportError::Timeout`].  The stream
+    /// and its partial bytes survive success, timeout and decode errors;
+    /// hangup and oversize prefixes drop it.
     pub fn recv_frame_deadline(
         &mut self,
         from: usize,
         base: Duration,
         attempts: u32,
     ) -> Result<Frame, TransportError> {
-        let mut window = base.max(Duration::from_millis(1));
-        for _ in 0..attempts.max(1) {
-            match self.try_recv_within(from, window) {
-                Err(TransportError::Timeout { .. }) => {
-                    window = window.saturating_mul(2);
-                }
-                other => return other,
-            }
-        }
-        self.recv_timeouts += 1;
-        Err(TransportError::Timeout {
-            from,
-            to: self.rank,
-            attempts: attempts.max(1),
-        })
-    }
-
-    /// One bounded receive window, delegated to the peer's
-    /// [`FramedConn`].  The stream survives success, timeout, and decode
-    /// errors; hangup and oversize prefixes drop it.
-    fn try_recv_within(&mut self, from: usize, window: Duration) -> Result<Frame, TransportError> {
-        let down = TransportError::Down {
-            from,
-            to: self.rank,
-        };
+        let to = self.rank;
         let Some(conn) = self.peers[from].as_mut() else {
-            return Err(down);
+            return Err(TransportError::Down { from, to });
         };
-        match conn.try_recv_payload(window) {
+        match conn.recv_payload_deadline(base, attempts) {
             Ok(bytes) => Frame::decode(&bytes).map_err(Into::into),
-            Err(FrameIoError::Timeout { .. }) => Err(TransportError::Timeout {
-                from,
-                to: self.rank,
-                attempts: 1,
-            }),
+            Err(FrameIoError::Timeout { attempts }) => {
+                self.recv_timeouts += 1;
+                Err(TransportError::Timeout { from, to, attempts })
+            }
             Err(FrameIoError::Oversize) => {
                 self.peers[from] = None;
                 Err(TransportError::Wire(WireError::Oversize))
@@ -813,7 +783,7 @@ impl StreamTransport {
                     self.torn_frames += 1;
                 }
                 self.peers[from] = None;
-                Err(down)
+                Err(TransportError::Down { from, to })
             }
             Err(FrameIoError::Io(e)) => Err(TransportError::Io(e)),
         }
@@ -932,21 +902,8 @@ impl ServiceListener {
     pub fn bind(kind: StreamKind, dir: &Path, service: &str) -> Result<Self, TransportError> {
         let io = |e: std::io::Error| TransportError::Io(e.to_string());
         std::fs::create_dir_all(dir).map_err(io)?;
-        let (inner, addr) = match kind {
-            StreamKind::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0").map_err(io)?;
-                l.set_nonblocking(true).map_err(io)?;
-                let a = l.local_addr().map_err(io)?.to_string();
-                (Listener::Tcp(l), a)
-            }
-            StreamKind::Uds => {
-                let sock = dir.join(format!("{service}.sock"));
-                let _ = std::fs::remove_file(&sock);
-                let l = UnixListener::bind(&sock).map_err(io)?;
-                l.set_nonblocking(true).map_err(io)?;
-                (Listener::Uds(l), sock.to_string_lossy().into_owned())
-            }
-        };
+        let (inner, addr) =
+            Listener::bind(kind, &dir.join(format!("{service}.sock"))).map_err(io)?;
         Ok(Self { inner, addr })
     }
 
@@ -1001,11 +958,7 @@ pub fn dial_service(
     kind: StreamKind,
     cfg: &StreamConfig,
 ) -> Result<FramedConn, TransportError> {
-    let stream = connect_with_retry(addr, kind, cfg)?;
-    stream
-        .set_write_timeout(Some(cfg.write_deadline))
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    Ok(FramedConn::new(stream))
+    FramedConn::bounded(connect_with_retry(addr, kind, cfg)?, cfg.write_deadline)
 }
 
 fn connect_with_retry(
@@ -1043,7 +996,6 @@ fn send_hello(stream: &mut Stream, rank: usize, nonce: u64, gen: u32) -> std::io
 fn accept_one(
     listener: &Listener,
     cfg: &StreamConfig,
-    _gen: u32,
     deadline: Instant,
     mut admit: impl FnMut(usize) -> bool,
 ) -> Result<(Stream, usize, u32), TransportError> {

@@ -25,14 +25,8 @@
 //!   to the square root of the number of processors."
 //!
 //! * [`partition`] — the index arithmetic shared by all three.
-//! * [`failover_algo`] — the copy algorithm hardened against host death:
-//!   heartbeat monitoring, survivor-group re-formation, and blockstep
-//!   re-partitioning, with the continuation bitwise identical to a
-//!   fault-free run (the full-replica property makes redistribution pure
-//!   index arithmetic).
 
 pub mod copy_algo;
-pub mod failover_algo;
 pub mod grid2d;
 pub mod partition;
 pub mod ring_algo;
@@ -40,7 +34,6 @@ pub mod ring_algo;
 pub use copy_algo::{
     run_copy_parallel, run_copy_parallel_segment, CopyConfig, CopyRunResult, CopySegment,
 };
-pub use failover_algo::{run_failover_parallel, FailoverConfig, FailoverRunResult, RankDeath};
 pub use grid2d::grid2d_forces;
 pub use partition::chunk_ranges;
 pub use ring_algo::ring_forces;

@@ -62,7 +62,6 @@ fn main() {
         .queue_depth(1)
         .quantum(4)
         .ckpt_every(4)
-        .seed(seed)
         .build()
         .unwrap();
     let mut farm = Farm::open(cfg).unwrap();
@@ -106,10 +105,6 @@ fn main() {
     println!(
         "  evictions {}  resumes {}  board rotations {}",
         s.evictions, s.resumes, s.board_rotations
-    );
-    println!(
-        "  grant retries {}  backoff {:.2e} s",
-        s.grant_retries, s.backoff_seconds
     );
     assert!(report.all_completed(), "every admitted session must finish");
     assert!(s.board_rotations >= 2, "both broken boards rotate out");

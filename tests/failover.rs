@@ -1,19 +1,20 @@
 //! Acceptance: losing a rank mid-run must not change a single bit.
 //!
-//! Kill 1 of 4 ranks of a copy-algorithm cluster run mid-integration:
-//! the survivors must detect the death by missed heartbeats, redistribute
-//! the dead rank's share among themselves, and produce final particle
-//! state **bitwise identical** to a fault-free run — with the detection
-//! and redistribution cost visible in [`RunStats::recovery`] and, for
-//! supervised single-host recovery, in the paper's six-term time
-//! breakdown.
+//! Rank death itself is detected and survived by
+//! `grape6_net::ClusterSupervisor` over real sockets (its unit tests and
+//! the `cluster_chaos` binary kill and stall real processes).  What this
+//! file pins is the property that recovery rests on: a copy-algorithm
+//! run taken to a checkpoint on 4 ranks and continued from it on the 3
+//! survivors ends **bitwise identical** to a run that never lost anyone —
+//! and, for supervised single-host recovery, that the recovery work lands
+//! in the paper's six-term time breakdown.
 
 use grape6_core::{
     CheckpointPolicy, Grape6Engine, HermiteIntegrator, IntegratorConfig, RunSupervisor,
     SupervisorConfig,
 };
 use grape6_fault::{FaultConfig, FaultPlan, MachineGeometry};
-use grape6_parallel::{run_failover_parallel, FailoverConfig, RankDeath};
+use grape6_parallel::{run_copy_parallel, run_copy_parallel_segment, CopyConfig, CopySegment};
 use grape6_system::machine::MachineConfig;
 use grape6_trace::span::Phase;
 use grape6_trace::{MeasuredBlockTime, Tracer};
@@ -23,49 +24,60 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn killing_one_of_four_ranks_is_detected_redistributed_and_bitwise_clean() {
+fn four_ranks_to_a_checkpoint_three_survivors_from_it_is_bitwise_clean() {
     let n = 32;
     let ranks = 4;
     let t_end = 0.25;
+    let cfg = CopyConfig::default();
     let set = plummer_model(n, &mut StdRng::seed_from_u64(23));
+    let clean = run_copy_parallel(&set, ranks, t_end, &cfg);
 
-    let cfg = FailoverConfig {
-        deaths: vec![RankDeath {
-            rank: 2,
-            at_blockstep: 6,
-        }],
-        ..Default::default()
-    };
-    let faulted = run_failover_parallel(&set, ranks, t_end, &cfg);
+    // All four ranks run to the checkpoint at blockstep 6…
+    let first = run_copy_parallel_segment(
+        &set,
+        ranks,
+        CopySegment {
+            resume_from: None,
+            max_blocksteps: Some(6),
+            t_end,
+        },
+        &cfg,
+    );
+    // (The last block time is the max particle time; the checkpoint's
+    // trip through the wire format is `tests/checkpoint_resume.rs`.)
+    let t_mid = first.set.t.iter().cloned().fold(0.0f64, f64::max);
 
-    // Detection: the monitor saw rank 2 stop heartbeating at blockstep 6,
-    // and the survivor group re-formed without it.
-    assert_eq!(faulted.deaths_detected, vec![(2, 6)]);
-    assert_eq!(faulted.survivors, vec![0, 1, 3]);
-    assert!(faulted.clocks[2].is_none(), "the dead rank has no clock");
-    assert!(faulted.clocks[0].is_some() && faulted.clocks[1].is_some());
+    // …one is lost, and the three survivors re-partition every block
+    // among themselves from the checkpointed state.
+    let survivors = run_copy_parallel_segment(
+        &first.set,
+        ranks - 1,
+        CopySegment {
+            resume_from: Some(t_mid),
+            max_blocksteps: None,
+            t_end,
+        },
+        &cfg,
+    );
+    assert_eq!(survivors.clocks.len(), ranks - 1);
 
-    // Redistribution and its cost are on the books: the heartbeat
-    // timeout the survivors waited out is charged as recovery time.
-    assert_eq!(faulted.stats.recovery.redistributions, 1);
-    assert!(
-        faulted.stats.recovery.recovery_seconds > 0.0,
-        "death detection must cost virtual time"
+    // Bitwise: the shrunk run equals the uninterrupted 4-rank run…
+    assert_eq!(survivors.set.pos, clean.set.pos, "positions diverged");
+    assert_eq!(survivors.set.vel, clean.set.vel, "velocities diverged");
+    assert_eq!(survivors.set.acc, clean.set.acc, "force sums diverged");
+    assert_eq!(survivors.set.dt, clean.set.dt, "schedules diverged");
+    assert_eq!(
+        first.stats.blocksteps + survivors.stats.blocksteps,
+        clean.stats.blocksteps,
+        "the two segments must cover exactly the reference schedule"
     );
 
-    // Bitwise: the failed-over run equals a fault-free cluster run…
-    let clean = run_failover_parallel(&set, ranks, t_end, &FailoverConfig::default());
-    assert_eq!(faulted.set.pos, clean.set.pos, "positions diverged");
-    assert_eq!(faulted.set.vel, clean.set.vel, "velocities diverged");
-    assert_eq!(faulted.set.acc, clean.set.acc, "force sums diverged");
-    assert_eq!(faulted.set.dt, clean.set.dt, "schedules diverged");
-
     // …and both equal the serial driver (the §3.4 property end to end).
-    let mut serial = HermiteIntegrator::new(DirectEngine::new(n), set, IntegratorConfig::default());
+    let mut serial = HermiteIntegrator::new(DirectEngine::new(n), set, cfg.integ);
     serial.run_until(t_end);
-    assert_eq!(faulted.set.pos, serial.particles().pos);
-    assert_eq!(faulted.set.vel, serial.particles().vel);
-    assert_eq!(faulted.stats.blocksteps, serial.stats().blocksteps);
+    assert_eq!(survivors.set.pos, serial.particles().pos);
+    assert_eq!(survivors.set.vel, serial.particles().vel);
+    assert_eq!(clean.stats.blocksteps, serial.stats().blocksteps);
 }
 
 #[test]

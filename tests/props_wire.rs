@@ -1,22 +1,34 @@
-//! Property-based tests (proptest) on the farm wire protocol.
+//! Property-based tests (proptest) on every byte decoder a peer, a client
+//! or a disk can feed: the farm frames, the cluster frames and the
+//! checkpoint image.
 //!
-//! The farm frames carry particle bits end to end, so the encoding must
-//! be a bitwise bijection on everything it accepts: decode(encode(f))
+//! All three carry particle bits end to end, so each encoding must be a
+//! bitwise bijection on everything it accepts: decode(encode(x))
 //! re-encodes to the exact original bytes for *any* field values —
 //! including NaN payloads, infinities and negative zero in the f64
-//! lanes — and every strict prefix of every encoding is a typed
-//! [`WireError`], never a panic or a wrong frame.
+//! lanes.  And each decoder must be total: every strict prefix of every
+//! encoding is a typed error, never a panic or a wrong message, and
+//! arbitrary bytes are answered with `Ok` or `Err`, never a panic.  The
+//! checkpoint adds its digest: no single flipped bit changes what loads.
 
 // The offline `proptest` stub type-checks but swallows the `proptest!`
 // body, so in that environment rustc sees the imports and strategy
 // helpers below as unused.
 #![allow(unused_imports, dead_code)]
 
+use grape6::ckpt::{Checkpoint, CkptError};
+use grape6::core::checkpoint::{capture, integrator_state};
+use grape6::core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
 use grape6::farm::{DenyReason, FarmFrame, RetryAfter, SessionPhase, SessionStatus, TenantSpec};
 use grape6::farm::{SessionId, TenantReport};
+use grape6::nbody::ic::plummer::plummer_model;
 use grape6::nbody::particle::ParticleSet;
 use grape6::nbody::Vec3;
+use grape6::net::{Frame, JRecord};
+use grape6::system::machine::MachineConfig;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A particle set whose every f64 lane is an arbitrary bit pattern.
 fn particles(bits: &[u64]) -> ParticleSet {
@@ -79,23 +91,44 @@ fn phase(tag: u8) -> SessionPhase {
     ][tag as usize % 6]
 }
 
-/// decode(encode(f)) must re-encode to the original bytes, and every
-/// strict prefix must be a typed error.
-fn roundtrips_bitwise(frame: &FarmFrame) {
-    let bytes = frame.encode();
-    let back = FarmFrame::decode(&bytes);
-    assert!(back.is_ok(), "own encoding rejected: {back:?}");
-    assert_eq!(
-        back.unwrap().encode(),
-        bytes,
-        "re-encode is not bitwise identical"
-    );
-    for cut in 0..bytes.len() {
+/// What a decoder owes its callers, checked on one valid encoding: it
+/// decodes and re-encodes to the same bytes; every strict prefix — what
+/// a writer dying mid-write leaves behind — is a typed error; and
+/// arbitrary bytes, alone or grafted onto a valid head, never panic.
+fn decoder_is_total<T, E: std::fmt::Debug>(
+    valid: &[u8],
+    junk: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let back = decode(valid).expect("own encoding rejected");
+    assert_eq!(encode(&back), valid, "re-encode is not bitwise identical");
+    for cut in 0..valid.len() {
         assert!(
-            FarmFrame::decode(&bytes[..cut]).is_err(),
-            "torn prefix of {cut} bytes decoded as a frame"
+            decode(&valid[..cut]).is_err(),
+            "torn prefix of {cut}/{} bytes decoded Ok",
+            valid.len()
         );
     }
+    let _ = decode(junk);
+    let _ = decode(&[&valid[..valid.len() / 2], junk].concat());
+}
+
+fn farm_frame_is_total(frame: &FarmFrame, junk: &[u8]) {
+    decoder_is_total(&frame.encode(), junk, FarmFrame::decode, FarmFrame::encode);
+}
+
+/// A checkpoint with a real engine record (a tiny machine's) around
+/// integrator lanes of arbitrary bit patterns.
+fn checkpoint(bits: &[u64], label: &str) -> Checkpoint {
+    let n = 8;
+    let set = plummer_model(n, &mut StdRng::seed_from_u64(5));
+    let engine = Grape6Engine::try_new(&MachineConfig::test_small(), n).expect("fits");
+    let it = HermiteIntegrator::new(engine, set, IntegratorConfig::default());
+    let mut ckpt = capture(&it, label);
+    let f = |k: usize| f64::from_bits(bits[k % bits.len()]);
+    ckpt.integrator = integrator_state(&particles(bits), f(0), f(1), it.stats());
+    ckpt
 }
 
 proptest! {
@@ -109,25 +142,32 @@ proptest! {
         label in ".{0,24}",
         tenant in any::<u32>(),
         index in any::<u32>(),
+        junk in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let set = particles(&bits);
-        roundtrips_bitwise(&FarmFrame::Submit {
-            seq,
-            t_end,
-            label,
-            set: set.clone(),
-        });
+        farm_frame_is_total(
+            &FarmFrame::Submit {
+                seq,
+                t_end,
+                label,
+                set: set.clone(),
+            },
+            &junk,
+        );
         let mut report = TenantReport::default();
         report.weight = tenant.max(1);
         report.grants = seq;
         report.blocksteps = t_end;
         report.breakdown.host = f64::from_bits(bits[0]);
         report.recovery.restores = bits[1 % bits.len()];
-        roundtrips_bitwise(&FarmFrame::Result {
-            session: SessionId { tenant, index },
-            particles: set,
-            report,
-        });
+        farm_frame_is_total(
+            &FarmFrame::Result {
+                session: SessionId { tenant, index },
+                particles: set,
+                report,
+            },
+            &junk,
+        );
     }
 
     /// The control-plane frames round-trip for arbitrary field values,
@@ -143,6 +183,7 @@ proptest! {
         a in any::<u64>(),
         tag in any::<u8>(),
         text in ".{0,40}",
+        junk in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let mut spec = TenantSpec::new(weight);
         if let Some(c) = cap {
@@ -171,7 +212,71 @@ proptest! {
             FarmFrame::Beat { epoch: a },
             FarmFrame::Bye,
         ] {
-            roundtrips_bitwise(&frame);
+            farm_frame_is_total(&frame, &junk);
+        }
+    }
+
+    /// The cluster frames: same contract, every variant, arbitrary
+    /// fields (a NaN block time and a non-ascending dead list included).
+    #[test]
+    fn cluster_frames_roundtrip_and_refuse_torn_prefixes(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        words in prop::collection::vec(any::<u64>(), 0..24),
+        junk in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let (gen, round) = (a as u32, (a >> 32) as u32);
+        for frame in [
+            Frame::Stage {
+                gen,
+                step: b,
+                stage: round,
+                t_min: f64::from_bits(b),
+                ckpt: a,
+                records: words
+                    .chunks(3)
+                    .map(|w| JRecord { index: w[0] ^ a, words: w.to_vec() })
+                    .collect(),
+                pad: b,
+            },
+            Frame::Data(junk.clone()),
+            Frame::Heartbeat { gen, epoch: b },
+            Frame::Recover { gen, round, dead: words.clone(), ckpt: b },
+        ] {
+            decoder_is_total(&frame.encode(), &junk, Frame::decode, Frame::encode);
+        }
+    }
+}
+
+proptest! {
+    // Every bit of every image is flipped, so a handful of images do.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The checkpoint image: the decoder contract, and the digest.  A
+    /// flipped payload bit is a `BadDigest`; a flipped header bit is
+    /// refused too, or (the case of a hex digit, the header's redundant
+    /// version) loads the checkpoint that was written.
+    #[test]
+    fn checkpoint_image_is_total_and_no_flipped_bit_changes_what_loads(
+        bits in prop::collection::vec(any::<u64>(), 6..12),
+        label in ".{0,24}",
+        junk in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let image = checkpoint(&bits, &label).to_bytes();
+        decoder_is_total(&image, &junk, Checkpoint::from_bytes, Checkpoint::to_bytes);
+        let payload_at = image.iter().position(|&b| b == b'\n').expect("header line") + 1;
+        let mut flipped = image.clone();
+        for bit in 0..8 * image.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match Checkpoint::from_bytes(&flipped) {
+                Err(CkptError::BadDigest { .. }) => {}
+                Err(e) => assert!(bit / 8 < payload_at, "payload bit {bit}: {e}"),
+                Ok(c) => {
+                    assert!(bit / 8 < payload_at, "payload bit {bit} accepted");
+                    assert_eq!(c.to_bytes(), image, "header bit {bit} changed what loads");
+                }
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
     }
 }
