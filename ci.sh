@@ -237,11 +237,32 @@ echo "==> repo benchmark smoke: the BENCHMARK.json command with --smoke"
 # the workspace crates, so it also proves no signature the benchmark calls
 # was broken.  Cargo may rewrite the stale benchmark/Cargo.lock on the way:
 # do not commit that rewrite.
+#
+# Then the farm latency gate, read from the result the run just wrote: a
+# job through FarmClient -> UDS -> FarmServer may cost at most 15 x the
+# same job on a dedicated board (median over median, so the ratio depends
+# on neither the machine nor its timer tick).  The smoke run reads about
+# 4 x — board rotation plus the client's 10 ms poll; with a read timeout on
+# the server's request path it read 35 x.  A timer creeping back onto that
+# path turns this red.
 python3 - <<'EOF'
-import json, subprocess, sys
+import glob, json, os, subprocess, sys, time
 with open("BENCHMARK.json") as f:
     command = json.load(f)["command"]
-sys.exit(subprocess.call(command + ["--smoke"]))
+started = time.time()
+code = subprocess.call(command + ["--smoke"])
+if code != 0:
+    sys.exit(code)
+fresh = [p for p in glob.glob("benchmark/out/result-farm_uds-*-trace0.json")
+         if os.path.getmtime(p) >= started - 1]
+if not fresh:
+    raise SystemExit("REGRESSION: the smoke run left no farm_uds result behind")
+with open(max(fresh, key=os.path.getmtime)) as f:
+    ratio = json.load(f)["metrics"]["farm.job.latency_over_dedicated"]["value"]
+if ratio > 15:
+    raise SystemExit(f"REGRESSION: farm_uds job latency is {ratio:.1f} x dedicated "
+                     "(limit 15): something on the server's request path waits")
+print(f"farm latency guard: {ratio:.1f} x dedicated (limit 15) — ok")
 EOF
 
 echo "==> ci.sh: all green"

@@ -382,22 +382,14 @@ impl FarmClient {
         Duration::from_millis(scaled + jitter)
     }
 
-    /// One bounded read; `Beat` echoes from an earlier fire-and-forget
-    /// poll are skipped (bounded, so a babbling server can't wedge us).
+    /// One bounded read, decoded.  Every request is answered by exactly
+    /// one frame, so the next frame is the reply (a `Beat` echo
+    /// included: nothing is skipped).
     fn recv(&mut self) -> Result<FarmFrame, FarmClientError> {
-        for _ in 0..64 {
-            let payload = self
-                .io
-                .recv_payload_deadline(self.stream.read_deadline, self.stream.read_attempts)?;
-            let frame = FarmFrame::decode(&payload)?;
-            if matches!(frame, FarmFrame::Beat { .. }) {
-                continue;
-            }
-            return Ok(frame);
-        }
-        Err(FarmClientError::Protocol(
-            "64 consecutive Beat frames; server is babbling".into(),
-        ))
+        let payload = self
+            .io
+            .recv_payload_deadline(self.stream.read_deadline, self.stream.read_attempts)?;
+        Ok(FarmFrame::decode(&payload)?)
     }
 
     /// Like [`Self::recv`] but requires the reply to match `seq`

@@ -3,18 +3,29 @@
 //! [`FarmServer`] owns an in-process [`Farm`] and serves it to real
 //! client processes over TCP or UDS, reusing the cluster transport's
 //! machinery: a non-blocking `ServiceListener`, nonce-stamped address
-//! rendezvous, u64-LE framed streams with bounded reads, and torn-frame
-//! classification.  The loop interleaves three duties:
+//! rendezvous, u64-LE framed streams, and torn-frame classification.
+//! One [`FarmServer::poll`] interleaves three duties:
 //!
-//! 1. **accept** new connections and run the `Hello` handshake (protocol
-//!    and nonce checked, tenant spec validated — failures are typed
-//!    [`DenyReason`]s, never closed sockets);
-//! 2. **drain** each connection's requests and answer them against the
-//!    farm (`Submit`/`Query`/`Fetch`/`Cancel`/`Beat`/`Bye`);
+//! 1. **accept** new connections (the `Hello` handshake is an ordinary
+//!    request: protocol and nonce checked, tenant spec validated —
+//!    failures are typed [`DenyReason`]s, never closed sockets);
+//! 2. **drain**: take the requests that have *already arrived* on each
+//!    connection and answer them against the farm
+//!    (`Submit`/`Query`/`Fetch`/`Cancel`/`Beat`/`Bye`), at most
+//!    `MAX_FRAMES_PER_POLL` per connection, then expire connections
+//!    silent past the heartbeat grace;
 //! 3. **schedule**: one deficit-WRR [`Farm::round`] whenever live work
 //!    exists, measuring the wall cost per blockstep so saturation
 //!    denials can cross the wire in honest milliseconds
 //!    ([`RetryAfter::Millis`]) instead of scheduler-internal blocksteps.
+//!
+//! Nothing on that path waits: the drain is
+//! `FramedConn::recv_payload_nowait` (no read timeout, no sleep), so a
+//! poll costs its syscalls plus the scheduler quantum it grants.  The
+//! only wait in the service is [`FarmServer::serve`]'s 1 ms sleep, taken
+//! when a poll found nothing to answer and nothing to run.  (A reply is
+//! still a blocking write: the socket is non-blocking only inside the
+//! receive.)
 //!
 //! A client that vanishes — EOF, torn frame, or silence past the
 //! heartbeat grace — triggers the checkpoint-eviction path: every
@@ -85,16 +96,13 @@ pub struct FarmServerConfig {
     pub stream: StreamConfig,
     /// Silence longer than this detaches a connection's sessions.
     pub heartbeat_grace: Duration,
-    /// Per-connection drain window each poll (bounded read).
-    pub drain_window: Duration,
     /// Wall milliseconds per blockstep assumed before the first measured
     /// scheduler round (the EWMA replaces it as rounds run).
     pub fallback_ms_per_blockstep: f64,
 }
 
 impl FarmServerConfig {
-    /// Defaults: TCP, service `"farm"`, 2 s heartbeat grace, 1 ms drain
-    /// window.
+    /// Defaults: TCP, service `"farm"`, 2 s heartbeat grace.
     pub fn new(dir: PathBuf) -> Self {
         Self {
             kind: StreamKind::Tcp,
@@ -102,7 +110,6 @@ impl FarmServerConfig {
             service: "farm".into(),
             stream: StreamConfig::default(),
             heartbeat_grace: Duration::from_secs(2),
-            drain_window: Duration::from_millis(1),
             fallback_ms_per_blockstep: 1.0,
         }
     }
@@ -145,6 +152,13 @@ pub struct ServeReport {
     /// Farm counters at exit.
     pub farm: FarmStats,
 }
+
+/// Requests answered per connection per [`FarmServer::poll`].  What a
+/// client has queued beyond this stays buffered for the next poll, so
+/// one chatty client can add at most this many replies — not its whole
+/// backlog — to the time between two scheduler rounds.  A well-behaved
+/// client has one request outstanding; 32 never throttles it.
+const MAX_FRAMES_PER_POLL: usize = 32;
 
 /// One accepted connection's state.
 struct Conn {
@@ -209,10 +223,11 @@ impl FarmServer {
         self.conns.len()
     }
 
-    /// One service cycle: accept, drain every connection, expire silent
-    /// ones, and run one scheduler round if work exists.  Returns the
-    /// number of requests answered plus grants made (0 means the cycle
-    /// was idle, so callers can sleep).
+    /// One service cycle: accept, answer what has arrived on every
+    /// connection, expire silent ones, and run one scheduler round if
+    /// work exists — without waiting anywhere.  Returns the number of
+    /// requests answered plus grants made (0 means the cycle was idle,
+    /// so callers can sleep).
     pub fn poll(&mut self) -> usize {
         let mut activity = 0usize;
         while let Ok(Some(io)) = self.listener.try_accept() {
@@ -297,23 +312,13 @@ impl FarmServer {
         self.report.clone()
     }
 
-    /// Drain one connection's pending frames inside the bounded window.
+    /// Answer the requests that have already arrived on one connection,
+    /// at most `MAX_FRAMES_PER_POLL` of them.  Never waits.
     fn drain_conn(&mut self, i: usize) -> usize {
         let mut handled = 0usize;
-        loop {
-            if self.conns[i].dead {
-                return handled;
-            }
-            let window = if handled == 0 {
-                self.cfg.drain_window
-            } else {
-                // More frames may be queued behind the first; give the
-                // kernel a moment to surface them, but never stall the
-                // scheduler on one chatty client.
-                Duration::from_millis(1)
-            };
-            match self.conns[i].io.try_recv_payload(window) {
-                Ok(payload) => {
+        while handled < MAX_FRAMES_PER_POLL && !self.conns[i].dead {
+            match self.conns[i].io.recv_payload_nowait() {
+                Ok(Some(payload)) => {
                     self.conns[i].last_heard = Instant::now();
                     match FarmFrame::decode(&payload) {
                         Ok(frame) => {
@@ -333,24 +338,19 @@ impl FarmServer {
                                 },
                             );
                             self.kill_conn(i);
-                            return handled;
                         }
                     }
                 }
-                Err(FrameIoError::Timeout { .. }) => return handled,
-                Err(FrameIoError::Closed { torn }) => {
-                    if torn {
+                Ok(None) => break,
+                Err(e) => {
+                    if e == (FrameIoError::Closed { torn: true }) {
                         self.report.torn_frames += 1;
                     }
                     self.kill_conn(i);
-                    return handled;
-                }
-                Err(FrameIoError::Oversize) | Err(FrameIoError::Io(_)) => {
-                    self.kill_conn(i);
-                    return handled;
                 }
             }
         }
+        handled
     }
 
     /// Answer one decoded request.
@@ -582,7 +582,7 @@ mod tests {
     use crate::session::Job;
     use crate::wire::particles_digest;
     use grape6_core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
-    use grape6_net::transport::dial_service;
+    use grape6_net::transport::{dial_service, framed};
     use grape6_system::machine::MachineConfig;
     use nbody_core::ic::plummer::plummer_model;
     use nbody_core::particle::ParticleSet;
@@ -644,6 +644,225 @@ mod tests {
             let mut srv = FarmServer::bind(farm_cfg, cfg).unwrap();
             srv.serve(opts)
         })
+    }
+
+    /// A bound UDS server with one board, driven by hand (no `serve`
+    /// thread) so a test can count what each `poll` does.  UDS because
+    /// bytes are readable the moment the peer's write returns.
+    fn bound(tag: &str) -> (FarmServer, PathBuf) {
+        let dir = scratch(tag);
+        let farm_cfg = FarmConfig::builder(unit()).boards(1).build().unwrap();
+        let srv = FarmServer::bind(farm_cfg, server_cfg(&dir, StreamKind::Uds, 21)).unwrap();
+        (srv, dir)
+    }
+
+    fn hello() -> Vec<u8> {
+        FarmFrame::Hello {
+            proto: FARM_PROTO,
+            nonce: 21,
+            spec: TenantSpec::new(1),
+        }
+        .encode()
+    }
+
+    /// A raw framed connection that has said `Hello`; returns it with
+    /// the tenant id the server assigned.
+    fn raw_tenant(srv: &mut FarmServer) -> (FramedConn, TenantId) {
+        let mut io = dial_service(srv.addr(), StreamKind::Uds, &StreamConfig::default()).unwrap();
+        io.send_payload(&hello()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while srv.report().handshakes == 0 {
+            assert!(Instant::now() < deadline, "no handshake within 30 s");
+            srv.poll();
+        }
+        let ack = io
+            .recv_payload_deadline(Duration::from_millis(250), 4)
+            .unwrap();
+        match FarmFrame::decode(&ack).unwrap() {
+            FarmFrame::HelloAck { tenant, .. } => (io, tenant),
+            other => panic!("expected HelloAck, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn polling_a_silent_client_never_waits() {
+        let (mut srv, dir) = bound("nowait");
+        let (_quiet, _) = raw_tenant(&mut srv);
+        // A poll is a handful of syscalls; any read timeout on the path
+        // costs at least 1 ms a poll (4 ms and more at a 250 Hz tick),
+        // every time.  Best of five, so a descheduled test thread does
+        // not fail it.
+        let took = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..50 {
+                    assert_eq!(srv.poll(), 0, "a silent client is no activity");
+                }
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            took < Duration::from_millis(50),
+            "50 idle polls took {took:?}"
+        );
+        assert_eq!(srv.connections(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_written_together_are_answered_by_one_poll() {
+        let (mut srv, dir) = bound("burst");
+        let (mut io, tenant) = raw_tenant(&mut srv);
+        let session = SessionId { tenant, index: 0 };
+        let j = job(12, 47, 0.125);
+        let burst = [
+            framed(
+                &FarmFrame::Submit {
+                    seq: 1,
+                    t_end: j.t_end().to_bits(),
+                    label: j.label().to_string(),
+                    set: j.set().clone(),
+                }
+                .encode(),
+            ),
+            framed(&FarmFrame::Query { session }.encode()),
+            framed(&FarmFrame::Query { session }.encode()),
+        ]
+        .concat();
+        io.send_raw(&burst).unwrap();
+        let before = srv.report().requests;
+        srv.poll();
+        assert_eq!(srv.report().requests - before, 3, "one poll, three answers");
+        let mut names = Vec::new();
+        for _ in 0..3 {
+            let reply = io
+                .recv_payload_deadline(Duration::from_millis(250), 4)
+                .unwrap();
+            match FarmFrame::decode(&reply).unwrap() {
+                FarmFrame::Ticket { seq: 1, session: s } => {
+                    assert_eq!(s, session);
+                    names.push("Ticket");
+                }
+                FarmFrame::Status { status } => {
+                    assert_eq!(status.session, session);
+                    names.push("Status");
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        assert_eq!(names, ["Ticket", "Status", "Status"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flooding_client_gets_a_bounded_share_of_every_poll() {
+        use std::io::{Read, Write};
+        const FLOOD: usize = 10_000;
+        let (mut srv, dir) = bound("flood");
+        // The flooder is a bare socket with its reader on a second
+        // thread, so neither side can ever block on a full buffer.
+        let mut tx = std::os::unix::net::UnixStream::connect(srv.addr()).unwrap();
+        let mut rx = tx.try_clone().unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut replies = 0usize;
+            let mut prefix = [0u8; 8];
+            while replies < 1 + FLOOD && rx.read_exact(&mut prefix).is_ok() {
+                let mut body = vec![0u8; u64::from_le_bytes(prefix) as usize];
+                rx.read_exact(&mut body).unwrap();
+                replies += 1;
+            }
+            replies
+        });
+        let writer = std::thread::spawn(move || {
+            let session = SessionId {
+                tenant: 0,
+                index: 0,
+            };
+            let mut bytes = framed(&hello());
+            bytes.extend(framed(&FarmFrame::Query { session }.encode()).repeat(FLOOD));
+            tx.write_all(&bytes).unwrap();
+            tx
+        });
+        // The other tenant: an ordinary client with one job.
+        let tenant_dir = dir.clone();
+        let tenant = std::thread::spawn(move || {
+            let mut client = FarmClient::builder(&tenant_dir)
+                .kind(StreamKind::Uds)
+                .nonce(21)
+                .connect()
+                .unwrap();
+            let sid = client.submit(&job(16, 48, 0.125)).unwrap();
+            let res = client.wait_result(sid, Duration::from_secs(30)).unwrap();
+            client.bye().unwrap();
+            particles_digest(&res.particles)
+        });
+        // The flooder's Hello and queries, and from the tenant at least
+        // Hello, Submit, one Query, Fetch, Bye.
+        let total = (1 + FLOOD + 5) as u64;
+        let (mut most, mut capped_with_backlog) = (0u64, false);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !(tenant.is_finished() && srv.report().requests >= total) {
+            assert!(Instant::now() < deadline, "flood + job not served in 60 s");
+            let before = srv.report().requests;
+            let activity = srv.poll();
+            let answered = srv.report().requests - before;
+            most = most.max(answered);
+            capped_with_backlog |= srv.conns.iter().any(|c| c.io.buffered() > 0)
+                && answered >= MAX_FRAMES_PER_POLL as u64;
+            if activity == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Two connections, so no poll may answer more than two shares.
+        assert!(
+            most <= 2 * MAX_FRAMES_PER_POLL as u64,
+            "one poll answered {most} requests"
+        );
+        assert!(capped_with_backlog, "the cap never left a backlog buffered");
+        assert_eq!(tenant.join().unwrap(), dedicated_digest(16, 48, 0.125));
+        drop(writer.join().unwrap());
+        assert_eq!(reader.join().unwrap(), 1 + FLOOD, "every query answered");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn beats_echo_their_epoch_and_keep_an_idle_client_attached() {
+        for (tag, kind) in [("tcp", StreamKind::Tcp), ("uds", StreamKind::Uds)] {
+            let dir = scratch(&format!("beat-{tag}"));
+            let farm_cfg = FarmConfig::builder(unit()).boards(1).build().unwrap();
+            let cfg = server_cfg(&dir, kind, 17);
+            let grace = cfg.heartbeat_grace;
+            let handle = spawn_server(farm_cfg, cfg, ServeOptions::default());
+            let mut client = FarmClient::builder(&dir)
+                .kind(kind)
+                .nonce(17)
+                .connect()
+                .unwrap();
+            for epoch in 1..=3 {
+                assert_eq!(client.beat().unwrap(), epoch, "{tag}");
+            }
+            // Nothing but beats for twice the grace: still attached, so
+            // the submit that follows is served on the same connection.
+            let t0 = Instant::now();
+            let mut epoch = 3;
+            while t0.elapsed() < 2 * grace {
+                std::thread::sleep(grace / 5);
+                epoch += 1;
+                assert_eq!(client.beat().unwrap(), epoch, "{tag}");
+            }
+            let sid = client.submit(&job(12, 49, 0.125)).unwrap();
+            let res = client.wait_result(sid, Duration::from_secs(30)).unwrap();
+            assert_eq!(
+                particles_digest(&res.particles),
+                dedicated_digest(12, 49, 0.125)
+            );
+            client.bye().unwrap();
+            let report = handle.join().unwrap();
+            assert_eq!(report.client_deaths, 0, "{tag}: beating client detached");
+            assert_eq!(report.farm.completed, 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

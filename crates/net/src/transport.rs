@@ -35,6 +35,12 @@
 //! caller can retry (or run a recovery round) without losing data from a
 //! merely-slow peer.
 //!
+//! A service loop that must not wait at all — the farm server polls every
+//! connection every cycle while sessions are runnable — uses
+//! [`FramedConn::recv_payload_nowait`] instead: the next complete frame
+//! if it has already arrived, else `None`, with the same buffering and
+//! the same hangup classification and no timer anywhere.
+//!
 //! # Rejoin
 //!
 //! Listeners stay alive for the lifetime of the transport, so a rank
@@ -302,10 +308,10 @@ impl Stream {
         }
     }
 
-    fn set_blocking(&self) -> std::io::Result<()> {
+    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.set_nonblocking(false),
-            Stream::Uds(s) => s.set_nonblocking(false),
+            Stream::Tcp(s) => s.set_nonblocking(on),
+            Stream::Uds(s) => s.set_nonblocking(on),
         }
     }
 }
@@ -354,7 +360,7 @@ impl Listener {
         };
         // Accepted sockets must be blocking regardless of what they
         // inherited from the non-blocking listener.
-        s.set_blocking()?;
+        s.set_nonblocking(false)?;
         Ok(Some(s))
     }
 }
@@ -399,19 +405,43 @@ impl Default for StreamConfig {
     }
 }
 
+/// A payload as it travels on a [`FramedConn`]: u64-LE length prefix,
+/// then the bytes.  [`FramedConn::send_payload`] writes exactly this;
+/// fault injectors cut or concatenate it and use
+/// [`FramedConn::send_raw`].
+pub fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(8 + payload.len());
+    msg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    msg.extend_from_slice(payload);
+    msg
+}
+
+/// Bytes asked of the socket per `read`.
+const RX_CHUNK: usize = 64 * 1024;
+
+/// Largest payload a length prefix may announce (1 GiB).
+const MAX_PAYLOAD: u64 = 1 << 30;
+
 /// One framed byte stream: a socket plus the partially received frame
 /// bytes, so a deadline expiry mid-frame loses nothing.
 ///
 /// This is the reusable half of [`StreamTransport`]: the u64-LE
-/// length-prefixed framing, the deadline-budgeted buffered receive, and
-/// the torn-frame classification, with no rank/mesh identity attached.
-/// [`StreamTransport`] holds one per mesh peer; service frontends (the
-/// farm server/client) hold one per connection accepted from a
-/// [`ServiceListener`] or dialled via [`dial_service`].
+/// length-prefixed framing, the buffered receive — deadline-budgeted
+/// ([`recv_payload_deadline`]) or no-wait ([`recv_payload_nowait`]) —
+/// and the torn-frame classification, with no rank/mesh identity
+/// attached.  [`StreamTransport`] holds one per mesh peer; service
+/// frontends (the farm server/client) hold one per connection accepted
+/// from a [`ServiceListener`] or dialled via [`dial_service`].
+///
+/// [`recv_payload_deadline`]: Self::recv_payload_deadline
+/// [`recv_payload_nowait`]: Self::recv_payload_nowait
 #[derive(Debug)]
 pub struct FramedConn {
     stream: Stream,
+    /// Received bytes not yet handed out as a frame.
     rx: Vec<u8>,
+    /// Where every `read` lands before it is appended to `rx`.
+    chunk: Box<[u8]>,
 }
 
 impl FramedConn {
@@ -419,6 +449,7 @@ impl FramedConn {
         Self {
             stream,
             rx: Vec::new(),
+            chunk: vec![0u8; RX_CHUNK].into_boxed_slice(),
         }
     }
 
@@ -438,10 +469,7 @@ impl FramedConn {
 
     /// Send one length-prefixed frame payload.
     pub fn send_payload(&mut self, payload: &[u8]) -> Result<(), FrameIoError> {
-        let mut msg = Vec::with_capacity(8 + payload.len());
-        msg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        msg.extend_from_slice(payload);
-        self.send_raw(&msg)
+        self.send_raw(&framed(payload))
     }
 
     /// Write raw bytes with *no* framing.  Fault injectors use this to
@@ -456,28 +484,60 @@ impl FramedConn {
             .map_err(|_| FrameIoError::Closed { torn: false })
     }
 
+    /// The next complete frame already in `rx`, if there is one: parse
+    /// the 8-byte LE length prefix, refuse a corrupt or hostile one
+    /// before allocating for it, and split the payload off.
+    fn take_buffered(&mut self) -> Result<Option<Vec<u8>>, FrameIoError> {
+        let Some(prefix) = self.rx.first_chunk::<8>() else {
+            return Ok(None);
+        };
+        let n = u64::from_le_bytes(*prefix);
+        if n > MAX_PAYLOAD {
+            return Err(FrameIoError::Oversize);
+        }
+        let total = 8 + n as usize;
+        if self.rx.len() < total {
+            return Ok(None);
+        }
+        let payload = self.rx[8..total].to_vec();
+        self.rx.drain(..total);
+        Ok(Some(payload))
+    }
+
+    /// One `read` appended to `rx`.  Returns the bytes gained — 0 when
+    /// the socket had none to give (timeout, would-block, interrupt).  A
+    /// hangup is [`FrameIoError::Closed`], torn if it cut a frame short.
+    fn read_more(&mut self) -> Result<usize, FrameIoError> {
+        match self.stream.reader().read(&mut self.chunk) {
+            Ok(k) if k > 0 => {
+                self.rx.extend_from_slice(&self.chunk[..k]);
+                Ok(k)
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(0)
+            }
+            // EOF or a socket error.  Partial bytes mean the peer died
+            // mid-frame.
+            _ => Err(FrameIoError::Closed {
+                torn: !self.rx.is_empty(),
+            }),
+        }
+    }
+
     /// One bounded receive window for a complete frame payload.  Partial
     /// bytes are buffered across calls; EOF mid-frame surfaces
     /// [`FrameIoError::Closed`] with `torn = true`.  A timeout preserves
     /// the stream and its partial bytes.
     pub fn try_recv_payload(&mut self, window: Duration) -> Result<Vec<u8>, FrameIoError> {
         let deadline = Instant::now() + window;
-        let mut chunk = [0u8; 64 * 1024];
         loop {
-            // Header first: 8-byte LE length prefix.
-            if self.rx.len() >= 8 {
-                let n = u64::from_le_bytes(self.rx[..8].try_into().expect("8-byte slice"));
-                // Length sanity: a frame is never remotely this large;
-                // reject before allocating on a corrupt prefix.
-                if n > 1 << 30 {
-                    return Err(FrameIoError::Oversize);
-                }
-                let total = 8 + n as usize;
-                if self.rx.len() >= total {
-                    let payload = self.rx[8..total].to_vec();
-                    self.rx.drain(..total);
-                    return Ok(payload);
-                }
+            if let Some(payload) = self.take_buffered()? {
+                return Ok(payload);
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -486,28 +546,43 @@ impl FramedConn {
             self.stream
                 .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
                 .map_err(|e| FrameIoError::Io(e.to_string()))?;
-            match self.stream.reader().read(&mut chunk) {
-                Ok(0) => {
-                    // Hangup. Partial bytes mean the peer died mid-frame.
-                    return Err(FrameIoError::Closed {
-                        torn: !self.rx.is_empty(),
-                    });
-                }
-                Ok(k) => self.rx.extend_from_slice(&chunk[..k]),
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        || e.kind() == ErrorKind::TimedOut
-                        || e.kind() == ErrorKind::Interrupted =>
-                {
-                    // Loop; the deadline check above decides when to stop.
-                }
-                Err(_) => {
-                    return Err(FrameIoError::Closed {
-                        torn: !self.rx.is_empty(),
-                    });
-                }
-            }
+            // Loop either way; the deadline check above decides when to
+            // stop.
+            self.read_more()?;
         }
+    }
+
+    /// The next complete frame payload if it has already arrived, else
+    /// `None` — never sleeps and never sets a read timeout, so a service
+    /// loop can call it on every connection every cycle.  Partial bytes
+    /// stay buffered; oversize prefixes, clean EOF and torn EOF surface
+    /// exactly as from [`try_recv_payload`].
+    ///
+    /// The socket is non-blocking only for the duration of the call, so
+    /// writes stay blocking (and bounded by the write deadline, where the
+    /// connection has one).
+    ///
+    /// [`try_recv_payload`]: Self::try_recv_payload
+    pub fn recv_payload_nowait(&mut self) -> Result<Option<Vec<u8>>, FrameIoError> {
+        if let Some(payload) = self.take_buffered()? {
+            return Ok(Some(payload));
+        }
+        let io = |e: std::io::Error| FrameIoError::Io(e.to_string());
+        self.stream.set_nonblocking(true).map_err(io)?;
+        let got = loop {
+            let k = match self.read_more() {
+                Ok(k) => k,
+                Err(e) => break Err(e),
+            };
+            match self.take_buffered() {
+                // A short read emptied the socket; a full one may have
+                // left the rest of the frame behind.
+                Ok(None) if k == self.chunk.len() => {}
+                done => break done,
+            }
+        };
+        self.stream.set_nonblocking(false).map_err(io)?;
+        got
     }
 
     /// Receive with the exponential deadline budget: attempt `i` of
@@ -1117,6 +1192,65 @@ mod tests {
         dir
     }
 
+    /// Poll-accept the next service connection (5 s bound).
+    fn accept(listener: &ServiceListener) -> FramedConn {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(c) = listener.try_accept().expect("accept") {
+                return c;
+            }
+            assert!(Instant::now() < deadline, "no client within 5 s");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Keeps a pair's listener (and UDS socket file) alive; removes the
+    /// rendezvous directory when dropped.
+    struct Rendezvous(#[allow(dead_code)] ServiceListener, PathBuf);
+
+    impl Drop for Rendezvous {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.1);
+        }
+    }
+
+    /// A connected (accepted, dialled) pair.
+    fn pair(kind: StreamKind, tag: &str) -> (FramedConn, FramedConn, Rendezvous) {
+        let dir = tdir(&format!("{tag}-{kind:?}"));
+        let listener = ServiceListener::bind(kind, &dir, "farm").expect("bind");
+        let client = dial_service(listener.addr(), kind, &quick(1)).expect("dial");
+        let server = accept(&listener);
+        (server, client, Rendezvous(listener, dir))
+    }
+
+    /// The no-wait receive, repeated until it yields a frame or an error
+    /// (bytes written by a peer are not promised to be readable the
+    /// instant its `write` returns).  Never sleeps itself.
+    fn nowait_event(conn: &mut FramedConn) -> Result<Vec<u8>, FrameIoError> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(payload) = conn.recv_payload_nowait()? {
+                return Ok(payload);
+            }
+            assert!(Instant::now() < deadline, "nothing within 5 s");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Repeat the no-wait receive until `n` bytes sit in the buffer;
+    /// every call on the way must be `None`.
+    fn nowait_until_buffered(conn: &mut FramedConn, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert_eq!(conn.recv_payload_nowait(), Ok(None));
+            if conn.buffered() == n {
+                return;
+            }
+            assert!(Instant::now() < deadline, "{n} bytes never arrived");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn virtual_transport_moves_frames_and_charges_wire_len() {
         let link = LinkProfile {
@@ -1372,14 +1506,7 @@ mod tests {
                 })
             };
             // Poll-accept, echo the transformed payload back.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            let mut conn = loop {
-                if let Some(c) = listener.try_accept().expect("accept") {
-                    break c;
-                }
-                assert!(Instant::now() < deadline, "no client within 5 s");
-                std::thread::sleep(Duration::from_millis(2));
-            };
+            let mut conn = accept(&listener);
             let got = conn
                 .recv_payload_deadline(Duration::from_millis(100), 4)
                 .expect("request");
@@ -1409,14 +1536,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(300));
             })
         };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut conn = loop {
-            if let Some(c) = listener.try_accept().expect("accept") {
-                break c;
-            }
-            assert!(Instant::now() < deadline, "no client within 5 s");
-            std::thread::sleep(Duration::from_millis(2));
-        };
+        let mut conn = accept(&listener);
         // While the client lives the partial frame is a plain timeout…
         let err = conn
             .try_recv_payload(Duration::from_millis(5))
@@ -1429,6 +1549,81 @@ mod tests {
             .expect_err("torn close is typed");
         assert_eq!(err, FrameIoError::Closed { torn: true });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn nowait_receive_yields_only_whole_frames_and_keeps_partial_bytes() {
+        for kind in [StreamKind::Tcp, StreamKind::Uds] {
+            let (mut server, mut client, _rdv) = pair(kind, "nowait-frames");
+            // Nothing sent.
+            assert_eq!(server.recv_payload_nowait(), Ok(None));
+            assert_eq!(server.buffered(), 0);
+            // Half a header, then the header plus part of the body: not
+            // a frame yet, and no byte is dropped.
+            let msg = framed(b"first frame");
+            client.send_raw(&msg[..4]).expect("half a header");
+            nowait_until_buffered(&mut server, 4);
+            client
+                .send_raw(&msg[4..11])
+                .expect("rest of header, 3 body bytes");
+            nowait_until_buffered(&mut server, 11);
+            client.send_raw(&msg[11..]).expect("rest of the body");
+            assert_eq!(nowait_event(&mut server).expect("frame"), b"first frame");
+            assert_eq!(server.buffered(), 0);
+            // Three frames in one write come out one per call, in order.
+            let burst = [framed(b"a"), framed(b""), framed(&[7u8; 3000])].concat();
+            client.send_raw(&burst).expect("burst");
+            assert_eq!(nowait_event(&mut server).expect("1st"), b"a");
+            assert_eq!(nowait_event(&mut server).expect("2nd"), b"");
+            assert_eq!(nowait_event(&mut server).expect("3rd"), [7u8; 3000]);
+            assert_eq!(server.recv_payload_nowait(), Ok(None));
+            // The stream is still blocking for writes: a frame far larger
+            // than the socket buffers, to a reader that starts late,
+            // arrives whole (a non-blocking socket would fail the write).
+            let big = vec![0x5a; 1 << 20];
+            let reader = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                client.recv_payload_deadline(Duration::from_millis(250), 4)
+            });
+            server.send_payload(&big).expect("blocking write completes");
+            assert_eq!(reader.join().expect("reader").expect("1 MiB frame"), big);
+        }
+    }
+
+    #[test]
+    fn nowait_receive_classifies_eof_torn_and_oversize() {
+        for kind in [StreamKind::Tcp, StreamKind::Uds] {
+            // Clean EOF: a whole frame, then the hangup.
+            let (mut server, mut client, _rdv) = pair(kind, "nowait-eof");
+            client.send_payload(b"last words").expect("send");
+            drop(client);
+            assert_eq!(nowait_event(&mut server).expect("frame"), b"last words");
+            assert_eq!(
+                nowait_event(&mut server),
+                Err(FrameIoError::Closed { torn: false })
+            );
+            // EOF mid-frame: 32 bytes promised, 3 delivered.
+            let (mut server, mut client, _rdv) = pair(kind, "nowait-torn");
+            client.send_raw(&framed(&[9; 32])[..11]).expect("partial");
+            nowait_until_buffered(&mut server, 11);
+            drop(client);
+            assert_eq!(
+                nowait_event(&mut server),
+                Err(FrameIoError::Closed { torn: true })
+            );
+            // A prefix above the 1 GiB bound is refused before allocation.
+            let (mut server, mut client, _rdv) = pair(kind, "nowait-big");
+            client
+                .send_raw(&((1u64 << 30) + 1).to_le_bytes())
+                .expect("prefix");
+            assert_eq!(nowait_event(&mut server), Err(FrameIoError::Oversize));
+            // Exactly 1 GiB is a legal (if unfinished) frame.
+            let (mut server, mut client, _rdv) = pair(kind, "nowait-1g");
+            client
+                .send_raw(&(1u64 << 30).to_le_bytes())
+                .expect("prefix");
+            nowait_until_buffered(&mut server, 8);
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! encoding is a typed error, never a panic or a wrong message, and
 //! arbitrary bytes are answered with `Ok` or `Err`, never a panic.  The
 //! checkpoint adds its digest: no single flipped bit changes what loads.
+//! The farm frames are also held to it one layer down, where the server
+//! meets them: through a real socket into the no-wait framed receive.
 
 // The offline `proptest` stub type-checks but swallows the `proptest!`
 // body, so in that environment rustc sees the imports and strategy
@@ -24,7 +26,8 @@ use grape6::farm::{SessionId, TenantReport};
 use grape6::nbody::ic::plummer::plummer_model;
 use grape6::nbody::particle::ParticleSet;
 use grape6::nbody::Vec3;
-use grape6::net::{Frame, JRecord};
+use grape6::net::transport::{dial_service, framed, FrameIoError, FramedConn, ServiceListener};
+use grape6::net::{Frame, JRecord, StreamConfig, StreamKind};
 use grape6::system::machine::MachineConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -114,8 +117,71 @@ fn decoder_is_total<T, E: std::fmt::Debug>(
     let _ = decode(&[&valid[..valid.len() / 2], junk].concat());
 }
 
+/// This test thread's listener (a shared one would hand one thread's
+/// dialled connection to another thread's accept).
+struct Sockets(ServiceListener, std::path::PathBuf);
+
+impl Drop for Sockets {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.1);
+    }
+}
+
+thread_local! {
+    static SOCKETS: Sockets = {
+        let dir = std::env::temp_dir().join(format!(
+            "g6-props-wire-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let listener = ServiceListener::bind(StreamKind::Uds, &dir, "props").expect("bind");
+        Sockets(listener, dir)
+    };
+}
+
+/// A connected (receiving, sending) pair of framed UDS connections — on
+/// a Unix socket, written bytes and a hangup are readable the moment the
+/// peer's call returns, so every assertion below is deterministic.
+fn socket_pair() -> (FramedConn, FramedConn) {
+    SOCKETS.with(|s| {
+        let tx = dial_service(s.0.addr(), StreamKind::Uds, &StreamConfig::default()).expect("dial");
+        let rx = s.0.try_accept().expect("accept").expect("a dialled peer");
+        (rx, tx)
+    })
+}
+
+/// The decoder contract at the framed receive: every strict prefix of a
+/// frame on the wire is `None` — bytes kept — while the peer lives and a
+/// torn close once it is gone, the whole frame comes out as sent, and
+/// arbitrary bytes get typed answers, never a panic.
+fn nowait_receive_is_total(payload: &[u8], junk: &[u8]) {
+    let wire = framed(payload);
+    for cut in 0..wire.len() {
+        let (mut rx, mut tx) = socket_pair();
+        tx.send_raw(&wire[..cut]).expect("prefix");
+        assert_eq!(rx.recv_payload_nowait(), Ok(None), "prefix {cut}");
+        assert_eq!(rx.buffered(), cut);
+        drop(tx);
+        assert_eq!(
+            rx.recv_payload_nowait(),
+            Err(FrameIoError::Closed { torn: cut > 0 }),
+            "prefix {cut} after the hangup"
+        );
+    }
+    let (mut rx, mut tx) = socket_pair();
+    tx.send_raw(&wire).expect("frame");
+    assert_eq!(rx.recv_payload_nowait(), Ok(Some(payload.to_vec())));
+    assert_eq!(rx.recv_payload_nowait(), Ok(None));
+    tx.send_raw(junk).expect("junk");
+    while let Ok(Some(_)) = rx.recv_payload_nowait() {}
+    drop(tx);
+    let _ = rx.recv_payload_nowait();
+}
+
 fn farm_frame_is_total(frame: &FarmFrame, junk: &[u8]) {
-    decoder_is_total(&frame.encode(), junk, FarmFrame::decode, FarmFrame::encode);
+    let valid = frame.encode();
+    decoder_is_total(&valid, junk, FarmFrame::decode, FarmFrame::encode);
+    nowait_receive_is_total(&valid, junk);
 }
 
 /// A checkpoint with a real engine record (a tiny machine's) around
