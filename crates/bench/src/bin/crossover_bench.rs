@@ -19,9 +19,9 @@
 //!   virtual fabric (back-to-back and split-phase) and over real TCP and
 //!   Unix-socket meshes: all digests must be identical bit for bit.
 //!
-//! Output: `BENCH_crossover.json`.  Exit 1 if the coalesced+overlapped
+//! Output: the tables on stdout.  Exit 1 if the coalesced+overlapped
 //! schedule fails to cut the 4-node network share, or any digest
-//! diverges.
+//! diverges — the exit code is the verdict.
 //!
 //! Usage: `crossover_bench [N] [T_END]` (defaults 256, 0.0625 on the
 //! `test_small` machine).
@@ -103,7 +103,6 @@ fn main() {
 
     // Measured sweep: 1→16 nodes × 3 schedules.
     let mut rows = Vec::new();
-    let mut sweep_json = Vec::new();
     let mut four_node = [0.0f64; 3];
     for &(nodes, layout) in &layouts {
         for (si, &sched) in SCHEDS.iter().enumerate() {
@@ -122,21 +121,6 @@ fn main() {
                 format!("{:.3}", share),
                 format!("{:.2}", step_us),
             ]);
-            sweep_json.push(format!(
-                "{{\"nodes\":{nodes},\"layout\":\"{}\",\"schedule\":\"{}\",\
-                 \"blocksteps\":{},\"particle_steps\":{},\
-                 \"sync\":{:e},\"exchange\":{:e},\"total\":{:e},\
-                 \"net_share\":{:e},\"step_us\":{:e}}}",
-                run.layout.label(),
-                sched.name(),
-                run.blocksteps,
-                run.particle_steps,
-                run.measured.sync,
-                run.measured.exchange,
-                run.measured.total(),
-                share,
-                step_us,
-            ));
         }
     }
     print_table(
@@ -182,34 +166,6 @@ fn main() {
         if bitwise_ok { "identical" } else { "DIVERGED" },
         reference
     );
-
-    let crossing_json: Vec<String> = SCHEDS
-        .iter()
-        .zip(&crossings)
-        .map(|(s, c)| {
-            format!(
-                "\"{}\":{}",
-                s.name(),
-                c.map_or("null".into(), |v| v.to_string())
-            )
-        })
-        .collect();
-    let payload = format!(
-        "{{\"n\":{n},\"t_end\":{t_end},\"sweep\":[{}],\
-         \"four_node\":{{\"sequential_share\":{:e},\"coalesced_share\":{:e},\
-         \"coalesced_overlapped_share\":{:e}}},\
-         \"bitwise\":{{\"identical\":{},\"digest\":\"{:016x}\"}},\
-         \"model_crossover_n\":{{{}}}}}",
-        sweep_json.join(","),
-        four_node[0],
-        four_node[1],
-        four_node[2],
-        bitwise_ok,
-        reference,
-        crossing_json.join(","),
-    );
-    std::fs::write("BENCH_crossover.json", &payload).expect("write BENCH_crossover.json");
-    println!("wrote BENCH_crossover.json");
 
     if !bitwise_ok {
         eprintln!("ERROR: wave digests diverged across schedules/transports");

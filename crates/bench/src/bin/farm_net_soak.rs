@@ -1,4 +1,4 @@
-//! The networked farm soak — `BENCH_farm_net.json`.
+//! The networked farm soak.
 //!
 //! Runs the full multi-process scenario of [`grape6_bench::farm_net`]
 //! once over TCP and once over UDS: one `farm_server`, a SIGKILLed
@@ -9,8 +9,7 @@
 //! job run in-process on a dedicated healthy board.
 //!
 //! Usage: `farm_net_soak [seed]` (default 17).  Exits nonzero if any
-//! invariant breaks; writes `BENCH_farm_net.json` in the current
-//! directory.
+//! invariant breaks; the exit code is the verdict.
 
 use grape6_bench::farm_net::{farm_net_run, FarmNetConfig};
 use grape6_bench::print_table;
@@ -71,22 +70,11 @@ fn main() {
         &rows,
     );
 
-    let all_ok = outcomes.iter().all(|o| o.ok());
-    let body: Vec<String> = outcomes.iter().map(|o| o.to_json()).collect();
-    let json = format!(
-        "{{\"runs\":[{}],\"bitwise_ok\":{all_ok}}}\n",
-        body.join(",")
-    );
-    std::fs::write("BENCH_farm_net.json", json).expect("write BENCH_farm_net.json");
-    println!("\nwrote BENCH_farm_net.json");
-
-    if !all_ok {
-        for o in &outcomes {
-            if !o.ok() {
-                eprintln!("\n{} FAILED:", o.kind);
-                for v in &o.violations {
-                    eprintln!("  - {v}");
-                }
+    if !outcomes.iter().all(|o| o.ok()) {
+        for o in outcomes.iter().filter(|o| !o.ok()) {
+            eprintln!("\n{} FAILED:", o.kind);
+            for v in &o.violations {
+                eprintln!("  - {v}");
             }
         }
         std::process::exit(1);

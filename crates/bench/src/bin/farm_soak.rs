@@ -1,4 +1,4 @@
-//! The farm soak — `BENCH_farm.json`.
+//! The farm soak.
 //!
 //! Seeded multi-tenant scenarios against the farm service: more jobs
 //! than the admission ceiling (typed backpressure must fire), a board
@@ -10,8 +10,8 @@
 //!
 //! Usage: `farm_soak [seeds...]` — defaults to three seeds.  Exits
 //! nonzero if any invariant breaks (including a scheduler stall, the
-//! deadlock signal).  Output: a table per run plus `BENCH_farm.json` in
-//! the current directory.
+//! deadlock signal); the exit code is the verdict.  Output: one table,
+//! a row per seed.
 
 use grape6_bench::farm::{farm_soak_run, FarmSoakConfig};
 use grape6_bench::print_table;
@@ -29,7 +29,6 @@ fn main() {
 
     let cfg = FarmSoakConfig::default();
     let mut rows = Vec::new();
-    let mut outcomes = Vec::new();
     let mut failures: Vec<(u64, Vec<String>)> = Vec::new();
     for &seed in &seeds {
         let out = farm_soak_run(seed, &cfg);
@@ -47,9 +46,8 @@ fn main() {
             if out.ok() { "ok".into() } else { "FAIL".into() },
         ]);
         if !out.ok() {
-            failures.push((seed, out.violations.clone()));
+            failures.push((seed, out.violations));
         }
-        outcomes.push(out);
     }
 
     print_table(
@@ -76,16 +74,7 @@ fn main() {
         &rows,
     );
 
-    let body: Vec<String> = outcomes.iter().map(|o| o.to_json()).collect();
-    let all_ok = failures.is_empty();
-    let json = format!(
-        "{{\"runs\":[{}],\"bitwise_ok\":{all_ok}}}\n",
-        body.join(",")
-    );
-    std::fs::write("BENCH_farm.json", json).expect("write BENCH_farm.json");
-    println!("\nwrote BENCH_farm.json");
-
-    if !all_ok {
+    if !failures.is_empty() {
         for (seed, violations) in &failures {
             eprintln!("\nseed {seed} FAILED:");
             for v in violations {

@@ -7,14 +7,9 @@
 //! breakdown from recorded virtual-time spans, and prints it next to the
 //! analytic model's prediction for the same blockstep sequence.
 //!
-//! Outputs:
-//!
-//! * `BENCH_breakdown.json` — one JSON object per layout with the
-//!   measured and modelled terms (machine-readable, hand-rolled JSON so
-//!   it works offline);
-//! * `BENCH_trace.json` — a `chrome://tracing` / Perfetto trace of the
-//!   multi-cluster run's per-rank span streams (or the single-host run
-//!   when only one layout is requested).
+//! Besides the table (also JSON under `GRAPE6_BENCH_JSON`, like every
+//! `print_table`) it writes `BENCH_trace.json` — a `chrome://tracing` /
+//! Perfetto trace of the multi-cluster run's per-rank span streams.
 //!
 //! Usage: `perf_report [N] [T_END]` (defaults: 256 particles, 0.125 time
 //! units on the `test_small` machine — small enough for CI, large enough
@@ -92,15 +87,10 @@ fn main() {
         &rows,
     );
 
-    let breakdown_json: Vec<String> = runs.iter().map(|r| r.to_json()).collect();
-    let payload = format!("[{}]", breakdown_json.join(","));
-    std::fs::write("BENCH_breakdown.json", &payload).expect("write BENCH_breakdown.json");
-    println!("\nwrote BENCH_breakdown.json ({} layouts)", runs.len());
-
     // The most interesting trace: the last layout (multi-cluster) shows
     // compute, barriers and the recursive-doubling exchange interleaved
     // per rank.
     let trace = chrome_trace(&runs.last().expect("at least one layout").streams);
     std::fs::write("BENCH_trace.json", trace).expect("write BENCH_trace.json");
-    println!("wrote BENCH_trace.json (load in chrome://tracing or Perfetto)");
+    println!("\nwrote BENCH_trace.json (load in chrome://tracing or Perfetto)");
 }

@@ -78,8 +78,6 @@ pub fn nic_link(nic: &NicProfile) -> LinkProfile {
 pub struct BreakdownRun {
     /// The machine layout.
     pub layout: MachineLayout,
-    /// System size.
-    pub n: usize,
     /// Blocksteps executed.
     pub blocksteps: usize,
     /// Particle steps executed.
@@ -92,49 +90,8 @@ pub struct BreakdownRun {
     /// `BlockTime::wall(overlap)`, summed.  Equals `model.total()` under
     /// the sequential schedule; smaller when overlapped.
     pub model_wall: f64,
-    /// The schedule this run executed (and the model wall assumed).
-    pub overlap: OverlapMode,
-    /// The network schedule this run executed (sequential collectives,
-    /// one coalesced wave per blockstep, or the split-phase wave).
-    pub sched: NetSchedule,
     /// Per-rank span streams (for Chrome-trace export).
     pub streams: Vec<(String, Vec<Span>)>,
-}
-
-impl BreakdownRun {
-    /// The run as a JSON object (hand-rolled: stays functional offline).
-    pub fn to_json(&self) -> String {
-        let model_terms = [
-            ("host", self.model.host),
-            ("dma", self.model.dma),
-            ("interface", self.model.interface),
-            ("grape", self.model.grape),
-            ("sync", self.model.sync),
-            ("exchange", self.model.exchange),
-        ];
-        let model_body: Vec<String> = model_terms
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v:e}"))
-            .collect();
-        format!(
-            "{{\"layout\":\"{}\",\"n\":{},\"blocksteps\":{},\"particle_steps\":{},\
-             \"overlap\":\"{}\",\"schedule\":\"{}\",\
-             \"measured\":{},\"model\":{{{},\"total\":{:e},\"wall\":{:e}}}}}",
-            self.layout.label(),
-            self.n,
-            self.blocksteps,
-            self.particle_steps,
-            match self.overlap {
-                OverlapMode::Sequential => "sequential",
-                OverlapMode::Overlapped => "overlapped",
-            },
-            self.sched.name(),
-            self.measured.to_json(),
-            model_body.join(","),
-            self.model.total(),
-            self.model_wall,
-        )
-    }
 }
 
 /// Elementwise sum of analytic breakdowns (accumulating blocksteps).
@@ -270,14 +227,11 @@ pub fn measure_single_host_mode(
     }
     BreakdownRun {
         layout,
-        n,
         blocksteps,
         particle_steps: it.stats().particle_steps,
         measured,
         model: model_sum,
         model_wall,
-        overlap,
-        sched: NetSchedule::Sequential,
         streams: vec![("host".into(), all_spans)],
     }
 }
@@ -631,14 +585,11 @@ fn measure_ranks(
         .collect();
     BreakdownRun {
         layout,
-        n,
         blocksteps: steps,
         particle_steps: results[0].2,
         measured,
         model: model_sum,
         model_wall,
-        overlap: OverlapMode::Sequential,
-        sched,
         streams: streams_out,
     }
 }
@@ -732,7 +683,6 @@ mod tests {
         assert!(coa.measured.sync > 0.0 && coa.measured.exchange > 0.0);
         // The model side follows the same schedule.
         assert!(coa.model.sync < seq.model.sync);
-        assert!(coa.to_json().contains("\"schedule\":\"coalesced\""));
     }
 
     #[test]
@@ -774,7 +724,5 @@ mod tests {
         );
         assert!(run.measured.sync > 0.0);
         assert_eq!(run.measured.exchange, 0.0);
-        let json = run.to_json();
-        assert!(json.contains("\"sync\""), "{json}");
     }
 }

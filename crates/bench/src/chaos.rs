@@ -15,7 +15,7 @@
 //!    [`CkptError`](grape6_ckpt::CkptError), never a panic.
 //!
 //! Rank death is not staged here: it needs real processes to kill, and
-//! the `cluster_chaos` binary does exactly that.
+//! [`crate::chaos_cluster`] does exactly that.
 //!
 //! The invariants asserted after every recovery are the paper's §3.4
 //! reproducibility property in operational form: the faulted and the

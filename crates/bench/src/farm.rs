@@ -104,8 +104,6 @@ pub struct FarmSoakOutcome {
     pub resumes: u64,
     /// Boards pulled from rotation.
     pub board_rotations: u64,
-    /// Tenants with a nonzero six-term breakdown.
-    pub tenants_traced: usize,
     /// Sessions whose final bits matched their dedicated run.
     pub bitwise_ok: u64,
     /// Every invariant breach, human-readable.
@@ -116,32 +114,6 @@ impl FarmSoakOutcome {
     /// All invariants held.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Hand-rolled JSON object (offline-safe) for `BENCH_farm.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"seed\":{},\"submitted\":{},\"admitted\":{},\"completed\":{},",
-                "\"rejected_saturated\":{},\"rejected_queue_full\":{},",
-                "\"retry_after_hint\":{},\"evictions\":{},\"resumes\":{},",
-                "\"board_rotations\":{},\"tenants_traced\":{},",
-                "\"bitwise_ok\":{},\"ok\":{}}}"
-            ),
-            self.seed,
-            self.submitted,
-            self.admitted,
-            self.completed,
-            self.rejected_saturated,
-            self.rejected_queue_full,
-            self.retry_after_hint,
-            self.evictions,
-            self.resumes,
-            self.board_rotations,
-            self.tenants_traced,
-            self.bitwise_ok,
-            self.ok()
-        )
     }
 }
 
@@ -250,14 +222,7 @@ pub fn farm_soak_run(seed: u64, cfg: &FarmSoakConfig) -> FarmSoakOutcome {
         Ok(r) => r,
         Err(e) => {
             violations.push(format!("farm run failed: {e}"));
-            return summarize(
-                seed,
-                farm.stats().clone(),
-                retry_after_hint,
-                0,
-                0,
-                violations,
-            );
+            return summarize(seed, farm.stats().clone(), retry_after_hint, 0, violations);
         }
     };
 
@@ -315,21 +280,13 @@ pub fn farm_soak_run(seed: u64, cfg: &FarmSoakConfig) -> FarmSoakOutcome {
         ));
     }
 
-    summarize(
-        seed,
-        report.stats,
-        retry_after_hint,
-        tenants_traced,
-        bitwise_ok,
-        violations,
-    )
+    summarize(seed, report.stats, retry_after_hint, bitwise_ok, violations)
 }
 
 fn summarize(
     seed: u64,
     stats: grape6_farm::FarmStats,
     retry_after_hint: u64,
-    tenants_traced: usize,
     bitwise_ok: u64,
     violations: Vec<String>,
 ) -> FarmSoakOutcome {
@@ -344,7 +301,6 @@ fn summarize(
         evictions: stats.evictions,
         resumes: stats.resumes,
         board_rotations: stats.board_rotations,
-        tenants_traced,
         bitwise_ok,
         violations,
     }

@@ -23,7 +23,7 @@
 //! worker client fetched over the wire must be **bitwise identical** to
 //! the same job run in-process on a dedicated healthy board
 //! ([`grape6_farm::particles_digest`] on both sides).  `farm_net_soak`
-//! runs this for TCP and UDS and writes `BENCH_farm_net.json`.
+//! runs this for TCP and UDS and exits 1 on any violation.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -109,8 +109,6 @@ impl FarmNetConfig {
 pub struct FarmNetOutcome {
     /// Transport kind.
     pub kind: String,
-    /// Scenario seed.
-    pub seed: u64,
     /// Worker jobs fetched over the wire.
     pub jobs_done: u64,
     /// Of those, bitwise identical to the dedicated in-process run.
@@ -127,8 +125,6 @@ pub struct FarmNetOutcome {
     pub completed: u64,
     /// Boards rotated out (the two injected faults).
     pub board_rotations: u64,
-    /// Total typed denials the server sent.
-    pub denials: u64,
     /// Wall time of the whole scenario.
     pub wall_ms: u64,
     /// Every broken invariant; empty = passed.
@@ -139,31 +135,6 @@ impl FarmNetOutcome {
     /// Did every invariant hold?
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Hand-rolled JSON object (offline-safe) for `BENCH_farm_net.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"kind\":\"{}\",\"seed\":{},\"jobs_done\":{},\"digests_ok\":{},",
-                "\"saturated_denials\":{},\"torn_frames\":{},\"client_deaths\":{},",
-                "\"detached\":{},\"completed\":{},\"board_rotations\":{},",
-                "\"denials\":{},\"wall_ms\":{},\"ok\":{}}}"
-            ),
-            self.kind,
-            self.seed,
-            self.jobs_done,
-            self.digests_ok,
-            self.saturated_denials,
-            self.torn_frames,
-            self.client_deaths,
-            self.detached,
-            self.completed,
-            self.board_rotations,
-            self.denials,
-            self.wall_ms,
-            self.ok()
-        )
     }
 }
 
@@ -243,7 +214,6 @@ pub fn farm_net_run(cfg: &FarmNetConfig) -> FarmNetOutcome {
     let t0 = Instant::now();
     let mut out = FarmNetOutcome {
         kind: cfg.kind.clone(),
-        seed: cfg.seed,
         ..FarmNetOutcome::default()
     };
     let _ = std::fs::remove_dir_all(&cfg.dir);
@@ -393,7 +363,6 @@ pub fn farm_net_run(cfg: &FarmNetConfig) -> FarmNetOutcome {
         if line.starts_with("served ") {
             out.torn_frames += parse_counter(line, "torn").unwrap_or(0);
             out.client_deaths += parse_counter(line, "deaths").unwrap_or(0);
-            out.denials += parse_counter(line, "denials").unwrap_or(0);
         }
         if line.starts_with("farm ") {
             out.detached += parse_counter(line, "detached").unwrap_or(0);

@@ -11,12 +11,25 @@
 //! | `fig17` | 4/8/16-node (1/2/4-cluster) speed |
 //! | `fig18` | 16-node time per step + model |
 //! | `fig19` | NS83820+Athlon vs 82540EM+P4 |
-//! | `overlap_bench` | serial/parallel/overlapped schedule comparison (`BENCH_overlap.json`) |
-//! | `kernel_bench` | scalar oracle vs lane kernel at every level (`BENCH_kernel.json`) |
 //! | `table_apps` | §5 application runs (Kuiper belt, binary BH) |
 //! | `table_treecode` | §5 treecode comparison (particle-steps/s) |
+//! | `generations` | §3 generation gap, GRAPE-4 vs GRAPE-6 |
+//! | `grid_demo` | fig. 12 two-dimensional hardware network |
 //! | `calibrate` | re-measures the block statistics the model extrapolates |
 //! | `ablation_*` | design-choice studies (see DESIGN.md) |
+//! | `perf_report` | measured six-term breakdown next to the model, in virtual seconds (+ a Chrome trace) |
+//! | `crossover_bench` | fig. 18 crossover under the three network schedules; exits 1 on a digest divergence |
+//!
+//! Three more are the processes the multi-process tests and soaks spawn
+//! (`cluster_node`, `farm_server`, `farm_client`), and three are soak
+//! *scenarios* whose exit code is the verdict (`chaos_soak`, `farm_soak`,
+//! `farm_net_soak`; the real-process cluster chaos scenario runs as
+//! `tests/transport_procs.rs`).
+//!
+//! Nothing here times the simulator in host wall-clock or writes a
+//! verdict file: how fast the simulator runs is the `BENCHMARK.json`
+//! command's question (`benchmark/`, distributions per layer), and the
+//! bitwise questions belong to the root package's `tests/`.
 //!
 //! This library holds what the binaries share: log-spaced sweeps, table
 //! printing, and the **measured** block-statistics runner that ties the
@@ -27,8 +40,6 @@ pub mod chaos;
 pub mod chaos_cluster;
 pub mod farm;
 pub mod farm_net;
-pub mod kernel;
-pub mod overlap;
 pub mod wavecheck;
 
 use grape6_core::{HermiteIntegrator, IntegratorConfig};

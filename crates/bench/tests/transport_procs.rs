@@ -10,7 +10,7 @@
 //! digests bitwise equal to the unfaulted run throughout), and a
 //! torn-frame injector that dies mid-`Frame` on a live mesh.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ const P: usize = 4;
 const STEPS: u64 = 8;
 const RECS: usize = 3;
 
-fn spawn_rank(rank: usize, dir: &PathBuf, kind: &str) -> Child {
+fn spawn_rank(rank: usize, dir: &Path, kind: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_cluster_node"))
         .args([
             &rank.to_string(),

@@ -288,9 +288,10 @@ impl RunSupervisor {
     }
 
     /// One supervised blockstep: checkpoint if due, step (honouring
-    /// [`IntegratorConfig::overlap`] — the recovery ladder wraps the
-    /// split-phase schedule identically, since both leave the particle
-    /// state untouched on `Err`), and climb the ladder on failure.
+    /// [`IntegratorConfig::overlap`](crate::IntegratorConfig::overlap) —
+    /// the recovery ladder wraps the split-phase schedule identically,
+    /// since both leave the particle state untouched on `Err`), and climb
+    /// the ladder on failure.
     pub fn step(&mut self) -> Result<(f64, usize), SupervisorError> {
         self.maybe_checkpoint();
         let mut rung = 0u32;

@@ -691,11 +691,11 @@ mod tests {
                 if ep.rank() == 2 {
                     return None; // endpoint drops immediately
                 }
-                let mut errs = Vec::new();
-                errs.push(barrier(&mut ep).unwrap_err());
-                errs.push(butterfly_barrier(&mut ep).unwrap_err());
-                errs.push(broadcast(&mut ep, 2, None, 8).unwrap_err());
-                Some(errs)
+                Some(vec![
+                    barrier(&mut ep).unwrap_err(),
+                    butterfly_barrier(&mut ep).unwrap_err(),
+                    broadcast(&mut ep, 2, None, 8).unwrap_err(),
+                ])
             });
         for (r, errs) in out.iter().enumerate() {
             let Some(errs) = errs else { continue };

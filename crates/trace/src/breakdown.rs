@@ -101,34 +101,6 @@ impl MeasuredBlockTime {
             wall: self.wall.max(o.wall),
         }
     }
-
-    /// The terms as `(name, seconds)` pairs, in the paper's order.
-    pub fn terms(&self) -> [(&'static str, f64); 6] {
-        [
-            ("host", self.host),
-            ("dma", self.dma),
-            ("interface", self.interface),
-            ("grape", self.grape),
-            ("sync", self.sync),
-            ("exchange", self.exchange),
-        ]
-    }
-
-    /// The breakdown as a JSON object (built by hand so it stays
-    /// functional in offline builds without the full `serde_json`).
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .terms()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{}", crate::chrome::json_f64(*v)))
-            .collect();
-        format!(
-            "{{{},\"total\":{},\"wall\":{}}}",
-            body.join(","),
-            crate::chrome::json_f64(self.total()),
-            crate::chrome::json_f64(self.wall)
-        )
-    }
 }
 
 /// Fold spans into one breakdown per track id, in track order.
@@ -241,28 +213,5 @@ mod tests {
         let mut s = a;
         s.add(&b);
         assert_eq!(s.total(), a.total() + b.total());
-    }
-
-    #[test]
-    fn json_dump_contains_every_term() {
-        let a = MeasuredBlockTime {
-            host: 1.5e-5,
-            grape: 0.25,
-            ..Default::default()
-        };
-        let j = a.to_json();
-        for k in [
-            "host",
-            "dma",
-            "interface",
-            "grape",
-            "sync",
-            "exchange",
-            "total",
-            "wall",
-        ] {
-            assert!(j.contains(&format!("\"{k}\":")), "missing {k} in {j}");
-        }
-        assert!(j.contains("0.25"));
     }
 }

@@ -30,7 +30,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 }
 
 /// Format an `f64` as a JSON number (JSON has no NaN/Infinity).
-pub(crate) fn json_f64(x: f64) -> String {
+fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

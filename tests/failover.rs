@@ -2,12 +2,13 @@
 //!
 //! Rank death itself is detected and survived by
 //! `grape6_net::ClusterSupervisor` over real sockets (its unit tests and
-//! the `cluster_chaos` binary kill and stall real processes).  What this
-//! file pins is the property that recovery rests on: a copy-algorithm
-//! run taken to a checkpoint on 4 ranks and continued from it on the 3
-//! survivors ends **bitwise identical** to a run that never lost anyone —
-//! and, for supervised single-host recovery, that the recovery work lands
-//! in the paper's six-term time breakdown.
+//! `grape6-bench`'s `transport_procs` test kill and stall real
+//! processes).  What this file pins is the property that recovery rests
+//! on: a copy-algorithm run taken to a checkpoint on 4 ranks and
+//! continued from it on the 3 survivors ends **bitwise identical** to a
+//! run that never lost anyone — and, for supervised single-host
+//! recovery, that the recovery work lands in the paper's six-term time
+//! breakdown.
 
 use grape6_core::{
     CheckpointPolicy, Grape6Engine, HermiteIntegrator, IntegratorConfig, RunSupervisor,

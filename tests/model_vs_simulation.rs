@@ -293,11 +293,18 @@ fn measured_breakdown_terms_track_model_within_25_percent_overlapped() {
         m.wall,
         run.model_wall
     );
-    // And the blocking run of the same system pays the full sum.
+    // And the blocking run of the same system pays the full sum — the
+    // same sum: the schedule moves spans on the timeline, it adds none.
     let seq = measure_single_host_mode(&model, &machine, n, t_end, 2003, OverlapMode::Sequential);
     assert!(
         (seq.measured.wall - seq.measured.total()).abs() < 1e-9 * seq.measured.total(),
         "sequential wall must equal the term sum"
+    );
+    assert!(
+        (seq.measured.total() - m.total()).abs() < 1e-9 * m.total(),
+        "term sums differ across schedules: blocking {:e} vs overlapped {:e}",
+        seq.measured.total(),
+        m.total()
     );
 }
 
