@@ -21,8 +21,17 @@
 //!   calculation we sometimes need to repeat the force calculation a few
 //!   times until we have a good guess").  Overflow is reported, never
 //!   silently wrapped, so the retry loop in `grape6-core` can do its job.
+//!
+//! Two accumulators share that contract: [`BlockAccum`], one window with a
+//! `Result` per add — the oracle — and [`LaneAccum`], `WIDTH` windows side
+//! by side in one vector register for the batched kernel, where lane `k`
+//! is one i-particle's accumulator and overflow goes to sticky per-lane
+//! [`LaneFlags`].  Per lane the second is the first, bit for bit
+//! (`simd::tests::lane_accum_flags_exactly_when_block_accum_errors_per_lane`).
 
 use std::fmt;
+
+use crate::simd::{Lanes, MAX_LANES};
 
 /// Guard bits added on top of the magnitude estimate when guessing a block
 /// exponent, so that a force that grows moderately between two timesteps
@@ -116,7 +125,7 @@ impl BlockAccum {
     /// ties to even) happens here; the addition itself is exact.
     #[inline]
     pub fn add(&mut self, x: f64) -> Result<(), BlockFpError> {
-        let scaled = x * exp2i(MANT_BITS - self.exp);
+        let scaled = x * window_scale(self.exp);
         let q = scaled.round_ties_even();
         // Deliberately negated so NaN also takes the overflow path.
         #[allow(clippy::neg_cmp_op_on_partial_ord, clippy::excessive_precision)]
@@ -164,105 +173,121 @@ impl BlockAccum {
     }
 }
 
-/// A block-FP accumulation lane for the batched kernel.
-///
-/// Semantically identical to [`BlockAccum::add`] — same grid, same single
-/// round-to-nearest-even per summand, same exact integer addition — but
-/// restructured for a tight inner loop:
-///
-/// * the window scale `2^(63 − exp)` is computed **once** at construction
-///   and hoisted out of the loop;
-/// * overflow (summand too large for the window, or the running sum
-///   wrapping) is recorded in a sticky **flag** instead of a per-add
-///   `Result`, so the loop has no early exit and no branch on the happy
-///   path.
-///
-/// The contract with the scalar path: for the same summand sequence,
-/// [`flagged`](Self::flagged) is `true` **iff** the equivalent sequence of
-/// `BlockAccum::add` calls returns an error, and when it is `false` the
-/// final mantissa is bit-identical.  A flagged lane's mantissa is garbage
-/// (casts saturate, sums wrap) and must be discarded — the caller re-runs
-/// the row through the scalar oracle to recover the exact error value.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchLane {
-    exp: i32,
-    scale: f64,
-    mant: i64,
-    flagged: bool,
+/// The grid shift factor `2^(63 − exp)` of a window: [`BlockAccum::add`]
+/// multiplies every summand by it before rounding, and a caller feeding
+/// [`LaneAccum::add_rounded`] must pre-scale with exactly this value.
+#[inline]
+pub fn window_scale(exp: i32) -> f64 {
+    exp2i(MANT_BITS - exp)
 }
 
-impl BatchLane {
-    /// Fresh lane with the given window exponent.
-    #[inline]
-    pub fn new(exp: i32) -> Self {
+/// Sticky per-lane overflow state, shared by the [`LaneAccum`]s of one
+/// group of lanes (the seven accumulators of a force pipeline): lane `k`
+/// is flagged once any summand or running sum added *in lane `k`* has
+/// left its 64-bit window, and stays flagged.
+pub struct LaneFlags<L: Lanes> {
+    /// Sign bit set in a lane once an `i64` add wrapped there.
+    wrapped: L::I,
+    /// Cleared in a lane once a summand failed `|q| < 2^63` there.
+    fits: L::M,
+}
+
+impl<L: Lanes> LaneFlags<L> {
+    /// No lane flagged.
+    ///
+    /// # Safety
+    /// `L`'s ISA must be available on the running CPU.
+    #[inline(always)]
+    pub unsafe fn new() -> Self {
+        let zero = L::splat_i(0);
         Self {
-            exp,
-            scale: exp2i(MANT_BITS - exp),
-            mant: 0,
-            flagged: false,
+            wrapped: zero,
+            fits: L::cmpeq_i(zero, zero),
         }
     }
 
-    /// Shift `x` onto the block grid and add it, deferring overflow
-    /// detection to the sticky flag.
+    /// One bit per lane (bit `k` = lane `k`), set iff the lane is flagged.
+    ///
+    /// # Safety
+    /// `L`'s ISA must be available on the running CPU.
     #[inline(always)]
-    pub fn add(&mut self, x: f64) {
-        self.add_rounded((x * self.scale).round_ties_even());
+    pub unsafe fn bits(&self) -> u32 {
+        let wrapped = L::mask_bits(L::cmpgt_i(L::splat_i(0), self.wrapped));
+        wrapped | (L::mask_bits(self.fits) ^ L::ALL)
+    }
+}
+
+/// `L::WIDTH` block-FP accumulators side by side: lane `k` is one
+/// [`BlockAccum`] mantissa, with its own window (the caller's per-lane
+/// [`window_scale`]) and its own summand sequence.
+///
+/// Semantically each lane is [`BlockAccum::add`] — same grid, same single
+/// round-to-nearest-even per summand, same exact integer addition, one
+/// summand at a time in the caller's order — restructured for a tight
+/// loop: the scale-and-round is the caller's (a lane multiply and a lane
+/// round), and overflow is recorded in sticky [`LaneFlags`] instead of a
+/// per-add `Result`, so the loop has no early exit and no branch.
+///
+/// The contract with the scalar path, **per lane**: for the summand
+/// sequence fed to lane `k`, bit `k` of [`LaneFlags::bits`] is set **iff**
+/// the equivalent sequence of `BlockAccum::add` calls returns an error
+/// (it is set from the first failing prefix on, whatever later adds do),
+/// and while it is clear the lane's mantissa is bit-identical.  A flagged
+/// lane's mantissa is garbage (the conversion is unspecified out of range,
+/// sums wrap) and must be discarded — the caller re-runs that i-particle
+/// through the scalar oracle to recover the exact error value.
+pub struct LaneAccum<L: Lanes> {
+    mant: L::I,
+}
+
+impl<L: Lanes> LaneAccum<L> {
+    /// All lanes zero.
+    ///
+    /// # Safety
+    /// `L`'s ISA must be available on the running CPU.
+    #[inline(always)]
+    pub unsafe fn new() -> Self {
+        Self {
+            mant: L::splat_i(0),
+        }
     }
 
-    /// Add a summand that the caller has already shifted onto the block
-    /// grid: `q` must be `(x * self.scale()).round_ties_even()` for the
-    /// value `x` being accumulated.  This is the SIMD kernel's entry
-    /// point — the scale-and-round runs lane-parallel, while the `i64`
-    /// accumulation stays **sequential** here so the sticky overflow
-    /// flag raises for exactly the same prefixes as [`add`](Self::add)
-    /// (wrap-around is order-dependent; a strided vector sum could miss
-    /// an intermediate wrap the scalar path sees, or see one it
-    /// doesn't).
+    /// Add one summand per lane, already shifted onto the lane's grid:
+    /// lane `k` of `q` must be `(x · window_scale(exp_k)).round_ties_even()`
+    /// for the value `x` that lane accumulates.  Overflow — the oracle's
+    /// own `!(|q| < 2^63)` predicate (NaN included), or the signed add
+    /// wrapping, read off as the sign of `(acc ^ sum) & (q ^ sum)` — goes
+    /// to `flags`.
+    ///
+    /// # Safety
+    /// `L`'s ISA must be available on the running CPU.
     #[inline(always)]
-    pub fn add_rounded(&mut self, q: f64) {
-        // Same deliberately negated predicate as `BlockAccum::add`, so NaN
-        // also raises the flag.
-        #[allow(clippy::neg_cmp_op_on_partial_ord, clippy::excessive_precision)]
-        let too_big = !(q.abs() < 9.223_372_036_854_775_8e18);
-        let (sum, carry) = self.mant.overflowing_add(q as i64);
+    #[allow(clippy::excessive_precision)]
+    pub unsafe fn add_rounded(&mut self, q: L::F, flags: &mut LaneFlags<L>) {
+        let abs = L::from_bits(L::and_i(L::to_bits(q), L::splat_i(i64::MAX)));
+        let fits = L::lt(abs, L::splat(9.223_372_036_854_775_8e18));
+        let qi = L::f64_to_i64(q);
+        let sum = L::add_i(self.mant, qi);
+        let wrapped = L::and_i(L::xor_i(self.mant, sum), L::xor_i(qi, sum));
+        flags.wrapped = L::or_i(flags.wrapped, wrapped);
+        flags.fits = L::mask_and(flags.fits, fits);
         self.mant = sum;
-        self.flagged |= too_big | carry;
     }
 
-    /// The grid shift factor `2^(63 − exp)` applied to every summand.
-    /// Callers pre-scaling summands for [`add_rounded`](Self::add_rounded)
-    /// must use exactly this value.
-    #[inline]
-    pub const fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Has any summand or the running sum overflowed the window?
-    #[inline]
-    pub fn flagged(&self) -> bool {
-        self.flagged
-    }
-
-    /// The window exponent.
-    #[inline]
-    pub const fn exp(&self) -> i32 {
-        self.exp
-    }
-
-    /// Convert into a [`BlockAccum`]; `None` if the lane overflowed (the
-    /// mantissa is then meaningless and the caller must fall back to the
-    /// scalar path for the exact error).
-    #[inline]
-    pub fn into_accum(self) -> Option<BlockAccum> {
-        if self.flagged {
-            None
-        } else {
-            Some(BlockAccum {
-                exp: self.exp,
-                mant: self.mant,
-            })
-        }
+    /// The lanes as [`BlockAccum`]s, lane `k` under window `exps[k]`
+    /// (entries at `L::WIDTH` and beyond are empty accumulators).  Only
+    /// meaningful for lanes [`LaneFlags::bits`] reports clear.
+    ///
+    /// # Safety
+    /// `L`'s ISA must be available on the running CPU.
+    #[inline(always)]
+    pub unsafe fn accums(self, exps: &[i32; MAX_LANES]) -> [BlockAccum; MAX_LANES] {
+        let mut mant = [0i64; MAX_LANES];
+        L::store_i(mant.as_mut_ptr(), self.mant);
+        std::array::from_fn(|k| BlockAccum {
+            exp: exps[k],
+            mant: mant[k],
+        })
     }
 }
 
@@ -419,86 +444,6 @@ mod tests {
         let w = acc.finish();
         assert_eq!(w.to_f64(), acc.to_f64());
         assert_eq!(w.exp, 5);
-    }
-
-    #[test]
-    fn batch_lane_matches_block_accum_bitwise() {
-        let vals: Vec<f64> = (0..257)
-            .map(|i| ((i * 2654435761u64 % 2000) as f64 - 1000.0) * 7.3e-5)
-            .collect();
-        for exp in [6, 10, 20] {
-            let mut acc = BlockAccum::new(exp);
-            let mut lane = BatchLane::new(exp);
-            for &v in &vals {
-                acc.add(v).unwrap();
-                lane.add(v);
-            }
-            assert!(!lane.flagged(), "exp = {exp}");
-            let got = lane.into_accum().unwrap();
-            assert_eq!(got.mant(), acc.mant(), "exp = {exp}");
-            assert_eq!(got.exp(), acc.exp());
-        }
-    }
-
-    #[test]
-    fn batch_lane_flags_exactly_when_scalar_errors() {
-        // Summand overflow: one value alone busts the window.
-        let mut acc = BlockAccum::new(0);
-        let mut lane = BatchLane::new(0);
-        assert!(acc.add(8.0).is_err());
-        lane.add(8.0);
-        assert!(lane.flagged());
-        assert!(lane.into_accum().is_none());
-
-        // Sum overflow: each summand fits, the total wraps.
-        let mut acc = BlockAccum::new(1);
-        let mut lane = BatchLane::new(1);
-        acc.add(1.9).unwrap();
-        lane.add(1.9);
-        assert!(!lane.flagged());
-        assert!(acc.add(1.9).is_err());
-        lane.add(1.9);
-        assert!(lane.flagged());
-
-        // NaN takes the flag path, mirroring the scalar NaN convention.
-        let mut lane = BatchLane::new(10);
-        lane.add(f64::NAN);
-        assert!(lane.flagged());
-
-        // The flag is sticky even if later adds would bring the wrapped
-        // sum back into range.
-        let mut lane = BatchLane::new(1);
-        lane.add(1.9);
-        lane.add(1.9);
-        lane.add(-1.9);
-        assert!(lane.flagged());
-    }
-
-    #[test]
-    fn add_rounded_is_equivalent_to_add() {
-        // `add_rounded(round(x·scale))` must reproduce `add(x)` exactly —
-        // mantissa bits and flag — for arbitrary bit patterns, including
-        // NaN/inf payloads and values that wrap the window.  This is the
-        // contract the SIMD kernel's pre-scaled accumulation relies on.
-        let mut s: u64 = 0x243f_6a88_85a3_08d3;
-        for exp in [-40i32, -3, 0, 5, 62, 120] {
-            let mut a = BatchLane::new(exp);
-            let mut b = BatchLane::new(exp);
-            for _ in 0..20_000 {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                let x = f64::from_bits(s);
-                a.add(x);
-                b.add_rounded((x * b.scale()).round_ties_even());
-                assert_eq!(a.flagged(), b.flagged(), "exp={exp} bits={s:#018x}");
-            }
-            assert_eq!(a.flagged(), b.flagged());
-            if let (Some(aa), Some(bb)) = (a.into_accum(), b.into_accum()) {
-                assert_eq!(aa.mant(), bb.mant());
-                assert_eq!(aa.exp(), bb.exp());
-            }
-        }
     }
 
     fn sum_mant(vals: &[f64], exp: i32) -> i64 {

@@ -29,6 +29,8 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::simd::MAX_LANES;
+
 /// Default table size exponent (1024 segments over `[1, 4)`).
 pub const DEFAULT_LOG2_SEGMENTS: u32 = 10;
 
@@ -300,25 +302,39 @@ impl RsqrtCubedUnit {
         let mut r12 = L::mul(p12, pw12);
         let okb = L::mask_bits(ok);
         if okb != L::ALL {
-            // Rare lanes outside the fast-path window: scalar fixup,
-            // one lane at a time, through the reference evaluation.
-            let mut xs = [0.0f64; 8];
-            let mut a32 = [0.0f64; 8];
-            let mut a12 = [0.0f64; 8];
+            // Rare lanes outside the fast-path window: scalar fixup
+            // through the reference evaluation, out of line.
+            let mut xs = [0.0f64; MAX_LANES];
+            let mut a32 = [0.0f64; MAX_LANES];
+            let mut a12 = [0.0f64; MAX_LANES];
             L::store(xs.as_mut_ptr(), x);
             L::store(a32.as_mut_ptr(), r32);
             L::store(a12.as_mut_ptr(), r12);
-            for lane in 0..L::WIDTH {
-                if okb & (1 << lane) == 0 {
-                    let (s32, s12) = self.eval_both(xs[lane]);
-                    a32[lane] = s32;
-                    a12[lane] = s12;
-                }
-            }
+            self.fix_lanes(okb ^ L::ALL, &xs, &mut a32, &mut a12);
             r32 = L::load(a32.as_ptr());
             r12 = L::load(a12.as_ptr());
         }
         (r32, r12)
+    }
+
+    /// Re-evaluate the lanes named in `bad` (bit `k` = lane `k`) one at a
+    /// time through [`eval_both`](Self::eval_both).  Kept out of line and
+    /// cold: inlined, its calls sit inside the caller's j-loop and every
+    /// lane register live across them is kept in memory on the hot path.
+    #[cold]
+    #[inline(never)]
+    fn fix_lanes(
+        &self,
+        mut bad: u32,
+        xs: &[f64; MAX_LANES],
+        a32: &mut [f64; MAX_LANES],
+        a12: &mut [f64; MAX_LANES],
+    ) {
+        while bad != 0 {
+            let lane = bad.trailing_zeros() as usize;
+            (a32[lane], a12[lane]) = self.eval_both(xs[lane]);
+            bad &= bad - 1;
+        }
     }
 
     #[cfg(any(target_arch = "x86_64", test))]

@@ -6,25 +6,27 @@
 //! [`Portable`] (4 lanes in plain arrays, runs on every host), and on
 //! x86-64 the hand-rolled `core::arch` files `Avx2` (4 lanes) and `Avx512`
 //! (8 lanes).  The hot helpers ([`quantize_lanes`], the gathered
-//! `RsqrtCubedUnit::eval_both_lanes`, the pre-scaled
-//! `BatchLane::add_rounded` feed) are generic too, and monomorphized
-//! under `#[target_feature]` entry points for the x86 instances.
+//! `RsqrtCubedUnit::eval_both_lanes`, the block-FP lane accumulator
+//! [`LaneAccum`](crate::blockfp::LaneAccum)) are generic too, and
+//! monomorphized under `#[target_feature]` entry points for the x86
+//! instances.
 //!
 //! **Bitwise contract.** Every lane operation used here is either pure
 //! integer manipulation (identical to scalar by definition) or an IEEE-754
-//! f64 `add`/`sub`/`mul`/`round-to-nearest-even`, which x86 vector units
-//! implement bit-identically to their scalar counterparts.  FMA is never
-//! used — the pipeline model rounds after *every* operation, so a fused
-//! multiply-add would change bits.  Every instance is therefore
-//! bit-identical to every other, and all are enforced bit-identical to the
-//! scalar oracle.
+//! f64 `add`/`sub`/`mul`/`round-to-nearest-even`/ordered `<`, which x86
+//! vector units implement bit-identically to their scalar counterparts.
+//! FMA is never used — the pipeline model rounds after *every* operation,
+//! so a fused multiply-add would change bits.  Every instance is
+//! therefore bit-identical to every other, and all are enforced
+//! bit-identical to the scalar oracle.
 //!
 //! **Dispatch.** [`active_level`] combines one-time hardware detection
 //! (`is_x86_feature_detected!`), the `GRAPE6_FORCE_SCALAR` environment
 //! override, and a process-wide programmatic override
-//! ([`set_dispatch_override`]) used by the kernel benchmark to time the
-//! AVX2 variant on an AVX-512 host.  When no level is active the callers
-//! run the [`Portable`] instance — same bits, narrower lanes.
+//! ([`set_dispatch_override`]) used by the bitwise tests to pin the
+//! portable or the AVX2 instance on an AVX-512 host.  When no level is
+//! active the callers run the [`Portable`] instance — same bits, narrower
+//! lanes.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -57,7 +59,7 @@ pub enum DispatchOverride {
     Auto,
     /// Run the portable lanes even on SIMD-capable hosts.
     ForceScalar,
-    /// Cap at AVX2 (times the 4-wide variant on an AVX-512 host).
+    /// Cap at AVX2 (runs the 4-wide x86 instance on an AVX-512 host).
     CapAvx2,
 }
 
@@ -127,6 +129,10 @@ pub fn active_level() -> Option<SimdLevel> {
     }
 }
 
+/// Widest [`Lanes::WIDTH`] of any instance: the length of the stack arrays
+/// callers stage lane values through.
+pub const MAX_LANES: usize = 8;
+
 /// One vector register file's worth of f64 lanes and the operations the
 /// force pass needs on them.
 ///
@@ -161,6 +167,8 @@ pub trait Lanes: Copy {
     unsafe fn store(p: *mut f64, v: Self::F);
     /// Unaligned load of `WIDTH` i64s.
     unsafe fn load_i(p: *const i64) -> Self::I;
+    /// Unaligned store of `WIDTH` i64s.
+    unsafe fn store_i(p: *mut i64, v: Self::I);
     /// Lanewise IEEE add (one rounding).
     unsafe fn add(a: Self::F, b: Self::F) -> Self::F;
     /// Lanewise IEEE subtract (one rounding).
@@ -190,6 +198,14 @@ pub trait Lanes: Copy {
     /// Lanewise full-range `i64 → f64`, round-to-nearest-even — the exact
     /// bits of Rust's scalar `as f64` cast for every input.
     unsafe fn i64_to_f64(a: Self::I) -> Self::F;
+    /// Lanewise `f64 → i64` of **integer-valued** doubles: the exact bits
+    /// of Rust's scalar `as i64` cast for every integer-valued lane with
+    /// `|a| < 2^63` (±0 included).  Any other lane — fractional, `|a| ≥
+    /// 2^63`, NaN — yields an unspecified integer.
+    unsafe fn f64_to_i64(a: Self::F) -> Self::I;
+    /// Lanewise ordered `a < b` on f64 lanes (false when either is NaN) —
+    /// the scalar `<`.
+    unsafe fn lt(a: Self::F, b: Self::F) -> Self::M;
     /// Lanewise `a == b` on i64 lanes.
     unsafe fn cmpeq_i(a: Self::I, b: Self::I) -> Self::M;
     /// Lanewise signed `a > b` on i64 lanes.
@@ -267,6 +283,10 @@ impl Lanes for Portable {
         p.cast::<[i64; 4]>().read_unaligned()
     }
     #[inline(always)]
+    unsafe fn store_i(p: *mut i64, v: [i64; 4]) {
+        p.cast::<[i64; 4]>().write_unaligned(v)
+    }
+    #[inline(always)]
     unsafe fn add(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
         lanes4!(k => a[k] + b[k])
     }
@@ -323,6 +343,14 @@ impl Lanes for Portable {
         lanes4!(k => a[k] as f64)
     }
     #[inline(always)]
+    unsafe fn f64_to_i64(a: [f64; 4]) -> [i64; 4] {
+        lanes4!(k => a[k] as i64)
+    }
+    #[inline(always)]
+    unsafe fn lt(a: [f64; 4], b: [f64; 4]) -> [bool; 4] {
+        lanes4!(k => a[k] < b[k])
+    }
+    #[inline(always)]
     unsafe fn cmpeq_i(a: [i64; 4], b: [i64; 4]) -> [bool; 4] {
         lanes4!(k => a[k] == b[k])
     }
@@ -359,6 +387,10 @@ pub struct Avx2;
 pub struct Avx512;
 
 #[cfg(target_arch = "x86_64")]
+const _: () = assert!(Avx2::WIDTH <= MAX_LANES && Avx512::WIDTH <= MAX_LANES);
+const _: () = assert!(Portable::WIDTH <= MAX_LANES);
+
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Avx2, Avx512, Lanes};
     use std::arch::x86_64::*;
@@ -390,6 +422,10 @@ mod x86 {
         #[inline(always)]
         unsafe fn load_i(p: *const i64) -> __m256i {
             _mm256_loadu_si256(p as *const __m256i)
+        }
+        #[inline(always)]
+        unsafe fn store_i(p: *mut i64, v: __m256i) {
+            _mm256_storeu_si256(p as *mut __m256i, v)
         }
         #[inline(always)]
         unsafe fn add(a: __m256d, b: __m256d) -> __m256d {
@@ -461,6 +497,29 @@ mod x86 {
             _mm256_add_pd(hi_dbl, _mm256_castsi256_pd(v_lo))
         }
         #[inline(always)]
+        unsafe fn f64_to_i64(a: __m256d) -> __m256i {
+            // AVX2 has no double → 64-bit int conversion either.  Split the
+            // integer-valued `a` at 2^32: `hi = ⌊a·2^-32⌋ ∈ [−2^31, 2^31)`
+            // and `lo = a − hi·2^32 ∈ [0, 2^32)` are both exact (a power-
+            // of-two scaling, a floor, and a difference that is itself an
+            // integer below 2^32 on `a`'s grid).  Each half goes through
+            // the magic-exponent trick `i64_to_f64` runs backwards: adding
+            // 1.5·2^52 to an integer `|v| < 2^51` is exact and leaves
+            // `2^51 + v` in the mantissa field, so subtracting the magic's
+            // own bit pattern as an integer yields `v` in two's complement.
+            let magic = _mm256_set1_pd(6_755_399_441_055_744.0); // 1.5 · 2^52
+            let hi = _mm256_floor_pd(_mm256_mul_pd(a, _mm256_set1_pd(1.0 / 4_294_967_296.0)));
+            let lo = _mm256_sub_pd(a, _mm256_mul_pd(hi, _mm256_set1_pd(4_294_967_296.0)));
+            let magic_bits = _mm256_castpd_si256(magic);
+            let hi_i = _mm256_sub_epi64(_mm256_castpd_si256(_mm256_add_pd(hi, magic)), magic_bits);
+            let lo_i = _mm256_sub_epi64(_mm256_castpd_si256(_mm256_add_pd(lo, magic)), magic_bits);
+            _mm256_add_epi64(_mm256_slli_epi64::<32>(hi_i), lo_i)
+        }
+        #[inline(always)]
+        unsafe fn lt(a: __m256d, b: __m256d) -> __m256i {
+            _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LT_OQ>(a, b))
+        }
+        #[inline(always)]
         unsafe fn cmpeq_i(a: __m256i, b: __m256i) -> __m256i {
             _mm256_cmpeq_epi64(a, b)
         }
@@ -517,6 +576,10 @@ mod x86 {
             _mm512_loadu_epi64(p)
         }
         #[inline(always)]
+        unsafe fn store_i(p: *mut i64, v: __m512i) {
+            _mm512_storeu_epi64(p, v)
+        }
+        #[inline(always)]
         unsafe fn add(a: __m512d, b: __m512d) -> __m512d {
             _mm512_add_pd(a, b)
         }
@@ -571,6 +634,16 @@ mod x86 {
         #[inline(always)]
         unsafe fn i64_to_f64(a: __m512i) -> __m512d {
             _mm512_cvtepi64_pd(a) // avx512dq: native, round-to-nearest-even
+        }
+        #[inline(always)]
+        unsafe fn f64_to_i64(a: __m512d) -> __m512i {
+            // avx512dq: native.  Truncating, so MXCSR's rounding mode has
+            // no say; integer-valued inputs convert exactly either way.
+            _mm512_cvttpd_epi64(a)
+        }
+        #[inline(always)]
+        unsafe fn lt(a: __m512d, b: __m512d) -> __mmask8 {
+            _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, b)
         }
         #[inline(always)]
         unsafe fn cmpeq_i(a: __m512i, b: __m512i) -> __mmask8 {
@@ -683,6 +756,7 @@ pub unsafe fn quantize_slice_avx512(xs: &[f64], out: &mut [f64], sig: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blockfp::{BlockAccum, LaneAccum, LaneFlags};
 
     fn xorshift_sweep(mut f: impl FnMut(u64)) {
         // Same deterministic generator as the pfloat equivalence sweep:
@@ -732,28 +806,121 @@ mod tests {
         cvt_lanes::<Avx512>(xs, out, halved)
     }
 
-    type Quantizer = unsafe fn(&[f64], &mut [f64], u32);
-    type Converter = unsafe fn(&[i64], &mut [f64], &mut [f64]);
+    /// `out = xs as i64`, lanewise (integer-valued inputs).
+    #[inline(always)]
+    unsafe fn to_i64_lanes<L: Lanes>(xs: &[f64], out: &mut [i64]) {
+        for (k, x) in xs.chunks_exact(L::WIDTH).enumerate() {
+            let v = L::f64_to_i64(L::load(x.as_ptr()));
+            L::store_i(out.as_mut_ptr().add(k * L::WIDTH), v);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn to_i64_avx2(xs: &[f64], out: &mut [i64]) {
+        to_i64_lanes::<Avx2>(xs, out)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn to_i64_avx512(xs: &[f64], out: &mut [i64]) {
+        to_i64_lanes::<Avx512>(xs, out)
+    }
+
+    /// Feed `qs` — step-major, `qs[s · WIDTH + k]` is lane `k`'s `s`-th
+    /// pre-rounded summand — through one `LaneAccum` and its `LaneFlags`
+    /// (`fresh`: through a new pair at every step), pushing the flag bits
+    /// after each step and returning the lanes under windows `exps`.
+    #[inline(always)]
+    unsafe fn accumulate_lanes<L: Lanes>(
+        qs: &[f64],
+        exps: &[i32; MAX_LANES],
+        fresh: bool,
+        bits: &mut Vec<u32>,
+    ) -> [BlockAccum; MAX_LANES] {
+        let mut flags = LaneFlags::<L>::new();
+        let mut acc = LaneAccum::<L>::new();
+        for step in qs.chunks_exact(L::WIDTH) {
+            if fresh {
+                flags = LaneFlags::<L>::new();
+                acc = LaneAccum::<L>::new();
+            }
+            acc.add_rounded(L::load(step.as_ptr()), &mut flags);
+            bits.push(flags.bits());
+        }
+        acc.accums(exps)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn accumulate_avx2(
+        qs: &[f64],
+        exps: &[i32; MAX_LANES],
+        fresh: bool,
+        bits: &mut Vec<u32>,
+    ) -> [BlockAccum; MAX_LANES] {
+        accumulate_lanes::<Avx2>(qs, exps, fresh, bits)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn accumulate_avx512(
+        qs: &[f64],
+        exps: &[i32; MAX_LANES],
+        fresh: bool,
+        bits: &mut Vec<u32>,
+    ) -> [BlockAccum; MAX_LANES] {
+        accumulate_lanes::<Avx512>(qs, exps, fresh, bits)
+    }
+
+    type Accumulate =
+        unsafe fn(&[f64], &[i32; MAX_LANES], bool, &mut Vec<u32>) -> [BlockAccum; MAX_LANES];
+
+    /// One runnable lane instance as slice drivers over the generic bodies.
+    struct Instance {
+        label: &'static str,
+        width: usize,
+        quantize: unsafe fn(&[f64], &mut [f64], u32),
+        convert: unsafe fn(&[i64], &mut [f64], &mut [f64]),
+        to_i64: unsafe fn(&[f64], &mut [i64]),
+        accumulate: Accumulate,
+    }
 
     /// Every lane instance this host can run — `Portable` always, the x86
-    /// files when detected — as slice drivers over the generic bodies.
-    /// Calling an entry is sound because it is only listed after its
-    /// runtime check.
-    fn lane_instances() -> Vec<(&'static str, Quantizer, Converter)> {
+    /// files when detected.  Calling a driver is sound because an instance
+    /// is only listed after its runtime check.
+    fn lane_instances() -> Vec<Instance> {
         #[allow(unused_mut)]
-        let mut v: Vec<(&'static str, Quantizer, Converter)> = vec![(
-            "portable",
-            quantize_slice_lanes::<Portable>,
-            cvt_lanes::<Portable>,
-        )];
+        let mut v = vec![Instance {
+            label: "portable",
+            width: Portable::WIDTH,
+            quantize: quantize_slice_lanes::<Portable>,
+            convert: cvt_lanes::<Portable>,
+            to_i64: to_i64_lanes::<Portable>,
+            accumulate: accumulate_lanes::<Portable>,
+        }];
         #[cfg(target_arch = "x86_64")]
         {
             let hw = hardware_level();
             if hw.is_some() {
-                v.push(("avx2", quantize_slice_avx2, cvt_avx2));
+                v.push(Instance {
+                    label: "avx2",
+                    width: Avx2::WIDTH,
+                    quantize: quantize_slice_avx2,
+                    convert: cvt_avx2,
+                    to_i64: to_i64_avx2,
+                    accumulate: accumulate_avx2,
+                });
             }
             if hw == Some(SimdLevel::Avx512) {
-                v.push(("avx512", quantize_slice_avx512, cvt_avx512));
+                v.push(Instance {
+                    label: "avx512",
+                    width: Avx512::WIDTH,
+                    quantize: quantize_slice_avx512,
+                    convert: cvt_avx512,
+                    to_i64: to_i64_avx512,
+                    accumulate: accumulate_avx512,
+                });
             }
         }
         v
@@ -781,7 +948,10 @@ mod tests {
         xs.resize(xs.len().next_multiple_of(8), 0.0);
         let mut out = vec![0.0f64; xs.len()];
         for sig in [24u32, 11, 50] {
-            for (label, quantize, _) in lane_instances() {
+            for Instance {
+                label, quantize, ..
+            } in lane_instances()
+            {
                 // SAFETY: `lane_instances` lists only runnable instances.
                 unsafe { quantize(&xs, &mut out, sig) };
                 for (&x, &got) in xs.iter().zip(&out) {
@@ -817,7 +987,7 @@ mod tests {
         vals.resize(vals.len().next_multiple_of(8), 0);
         let mut out = vec![0.0f64; vals.len()];
         let mut halved = vec![0.0f64; vals.len()];
-        for (label, _, convert) in lane_instances() {
+        for Instance { label, convert, .. } in lane_instances() {
             // SAFETY: `lane_instances` lists only runnable instances.
             unsafe { convert(&vals, &mut out, &mut halved) };
             for (k, &v) in vals.iter().enumerate() {
@@ -828,6 +998,207 @@ mod tests {
                     (want * 0.5).round_ties_even().to_bits(),
                     "{label} round(v/2) v={v}"
                 );
+            }
+        }
+    }
+
+    /// 2^63: the first magnitude that no longer fits an `i64` window.
+    const TWO63: f64 = 9_223_372_036_854_775_808.0;
+
+    #[test]
+    fn lane_f64_to_i64_matches_scalar_cast_on_integer_values() {
+        let mut xs: Vec<f64> = Vec::new();
+        for m in [
+            0.0,
+            1.0,
+            TWO63 - 1024.0,          // the largest double below 2^63
+            4_503_599_627_370_496.0, // 2^52
+            9_007_199_254_740_994.0, // 2^53 + 2
+            4_294_967_296.0,         // 2^32: the AVX2 split point, and either side
+            4_294_967_295.0,
+            4_294_967_297.0,
+            2_147_483_648.0,
+            4_611_686_018_427_387_904.0, // 2^62
+        ] {
+            xs.extend_from_slice(&[m, -m]);
+        }
+        // Integer-valued doubles of every magnitude and both signs: the
+        // sweep's words as integers, and its bit patterns rounded.
+        xorshift_sweep(|s| {
+            xs.push(s as i64 as f64);
+            xs.push(((s as i64) >> (s & 63)) as f64);
+            xs.push(f64::from_bits(s).round_ties_even());
+        });
+        xs.retain(|x| x.abs() < TWO63);
+        xs.resize(xs.len().next_multiple_of(8), -0.0);
+        let mut out = vec![0i64; xs.len()];
+        for Instance { label, to_i64, .. } in lane_instances() {
+            // SAFETY: `lane_instances` lists only runnable instances.
+            unsafe { to_i64(&xs, &mut out) };
+            for (&x, &got) in xs.iter().zip(&out) {
+                assert_eq!(got, x as i64, "{label} x={x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_flags_are_the_oracle_predicate_on_arbitrary_bit_patterns() {
+        // From an empty accumulator no add can wrap, so after one summand
+        // the flag is exactly the oracle's `!(|q| < 2^63)` — whatever the
+        // bit pattern: NaN payloads, infinities, the boundary itself.
+        let mut qs: Vec<f64> = vec![
+            f64::NAN,
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling, negative
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            TWO63,
+            -TWO63,
+            TWO63 - 1024.0,
+            -(TWO63 - 1024.0),
+            TWO63 + 2048.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+        ];
+        xorshift_sweep(|s| qs.push(f64::from_bits(s)));
+        qs.resize(qs.len().next_multiple_of(8), 0.0);
+        for Instance {
+            label,
+            width,
+            accumulate,
+            ..
+        } in lane_instances()
+        {
+            let mut bits = Vec::new();
+            // SAFETY: `lane_instances` lists only runnable instances.
+            unsafe { accumulate(&qs, &[0; MAX_LANES], true, &mut bits) };
+            for (step, &b) in qs.chunks_exact(width).zip(&bits) {
+                for (k, &q) in step.iter().enumerate() {
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    let too_big = !(q.abs() < TWO63);
+                    assert_eq!(
+                        b >> k & 1 == 1,
+                        too_big,
+                        "{label} lane {k} bits={:#018x}",
+                        q.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Eight summand sequences of one length, each with its own window:
+    /// what eight lanes of one group might see.
+    fn lane_scenarios() -> Vec<(i32, Vec<f64>)> {
+        const STEPS: usize = 600;
+        let mut words: Vec<u64> = Vec::new();
+        xorshift_sweep(|s| words.push(s));
+        let mut words = words.into_iter();
+        let mut word = move || words.next().expect("the sweep is long enough");
+        // Uniform in (−1, 1) · 2^e.
+        let small = |w: u64, e: i32| ((w >> 11) as f64 / (1u64 << 52) as f64 - 1.0) * 2f64.powi(e);
+        let mut v: Vec<(i32, Vec<f64>)> = Vec::new();
+        // 0, 1: stay inside their windows to the end.
+        v.push((5, (0..STEPS).map(|_| small(word(), -6)).collect()));
+        v.push((-40, (0..STEPS).map(|_| small(word(), -52)).collect()));
+        // 2: every summand fits, the fourth add wraps — and the adds that
+        // follow bring the wrapped sum back: the flag must stay.
+        let mut xs: Vec<f64> = (0..STEPS).map(|_| small(word(), -30)).collect();
+        xs[..4].fill(0.3);
+        xs[10..14].fill(-0.3);
+        v.push((0, xs));
+        // 3: one summand alone busts the window, mid-sequence.
+        let mut xs: Vec<f64> = (0..STEPS).map(|_| small(word(), 50)).collect();
+        xs[100] = TWO63;
+        v.push((62, xs));
+        // 4, 5: NaN and −inf take the summand-overflow path.
+        let mut xs: Vec<f64> = (0..STEPS).map(|_| small(word(), 100)).collect();
+        xs[7] = f64::NAN;
+        v.push((120, xs));
+        let mut xs: Vec<f64> = (0..STEPS).map(|_| small(word(), -10)).collect();
+        xs[50] = f64::NEG_INFINITY;
+        v.push((1, xs));
+        // 6: arbitrary bit patterns — fails wherever it fails.
+        v.push((-3, (0..STEPS).map(|_| f64::from_bits(word())).collect()));
+        // 7: the sum lands on −2^63 exactly (still inside an `i64`), then
+        // one grid unit more wraps it.
+        let mut xs: Vec<f64> = (0..STEPS).map(|_| small(word(), -20)).collect();
+        xs[..4].fill(-256.0);
+        xs[4] = -(2f64.powi(10 - 63));
+        v.push((10, xs));
+        v
+    }
+
+    #[test]
+    fn lane_accum_flags_exactly_when_block_accum_errors_per_lane() {
+        let scenarios = lane_scenarios();
+        let steps = scenarios[0].1.len();
+        // The oracle, per scenario: the mantissa after every step up to
+        // the first failing add, and that step.
+        let oracle: Vec<(Vec<i64>, usize)> = scenarios
+            .iter()
+            .map(|(exp, xs)| {
+                let mut acc = BlockAccum::new(*exp);
+                let mut mants = Vec::new();
+                for &x in xs {
+                    if acc.add(x).is_err() {
+                        break;
+                    }
+                    mants.push(acc.mant());
+                }
+                let first_fail = mants.len();
+                (mants, first_fail)
+            })
+            .collect();
+        let fails: Vec<usize> = oracle.iter().map(|o| o.1).collect();
+        assert_eq!(
+            &fails[..6],
+            [steps, steps, 3, 100, 7, 50],
+            "scenario design"
+        );
+        assert_eq!(fails[7], 4, "scenario design");
+        for Instance {
+            label,
+            width,
+            accumulate,
+            ..
+        } in lane_instances()
+        {
+            // Different sequences in different lanes, `width` at a time,
+            // stopped at several lengths so unflagged mantissas are
+            // compared mid-sequence too.
+            for (group, batch) in scenarios.chunks(width).enumerate() {
+                for stop in [1, 3, 4, 5, 8, 51, 101, steps] {
+                    let mut exps = [0i32; MAX_LANES];
+                    let mut qs = vec![0.0f64; stop * width];
+                    for (k, (exp, xs)) in batch.iter().enumerate() {
+                        exps[k] = *exp;
+                        let scale = crate::blockfp::window_scale(*exp);
+                        for (s, &x) in xs[..stop].iter().enumerate() {
+                            qs[s * width + k] = (x * scale).round_ties_even();
+                        }
+                    }
+                    let mut bits = Vec::new();
+                    // SAFETY: `lane_instances` lists only runnable instances.
+                    let accs = unsafe { accumulate(&qs, &exps, false, &mut bits) };
+                    for k in 0..batch.len() {
+                        let (mants, first_fail) = &oracle[group * width + k];
+                        for (s, &b) in bits.iter().enumerate() {
+                            assert_eq!(
+                                b >> k & 1 == 1,
+                                s >= *first_fail,
+                                "{label} scenario {} step {s}",
+                                group * width + k
+                            );
+                        }
+                        if stop <= *first_fail {
+                            assert_eq!(accs[k].mant(), mants[stop - 1], "{label} lane {k}");
+                            assert_eq!(accs[k].exp(), exps[k]);
+                        }
+                    }
+                }
             }
         }
     }

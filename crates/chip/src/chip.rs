@@ -24,9 +24,9 @@ use grape6_arith::rsqrt::RsqrtCubedUnit;
 use nbody_core::force::JParticle;
 
 use crate::jmem::{HwJParticle, JMemory, StuckBit};
-use crate::kernel::{KernelMode, SoaBatch};
-use crate::kernel_simd::{simd_row, simd_row_nb};
-use crate::pipeline::{interact, ExpSet, HwIParticle, PartialForce};
+use crate::kernel::{scalar_row, KernelMode, SoaBatch};
+use crate::kernel_simd::simd_block;
+use crate::pipeline::{ExpSet, HwIParticle, PartialForce};
 use crate::predictor::{predict, predict_batch, PredictedJ};
 
 pub use crate::pipeline::HwIParticle as IRegister;
@@ -259,25 +259,18 @@ impl Chip {
             return Ok(exps.iter().map(|&e| PartialForce::new(e)).collect());
         }
         self.charge_and_predict(i_regs.len());
-        // Force pipelines.  Accumulation order is irrelevant (block FP), so
-        // iterate i-outer/j-inner for locality.
-        let mut out = Vec::with_capacity(i_regs.len());
-        match self.kernel {
-            KernelMode::Scalar => {
-                for (ip, &exp) in i_regs.iter().zip(exps) {
-                    let mut pf = PartialForce::new(exp);
-                    for jp in &self.predicted {
-                        interact(&self.rsqrt, ip, jp, &mut pf)?;
-                    }
-                    out.push(pf);
-                }
-            }
+        // Force pipelines: the oracle one i-register at a time, the lane
+        // kernel the whole pass at once.
+        let mut out = match self.kernel {
+            KernelMode::Scalar => i_regs
+                .iter()
+                .zip(exps)
+                .map(|(ip, &exp)| scalar_row(&self.rsqrt, ip, &self.predicted, exp, None))
+                .collect::<Result<Vec<_>, _>>()?,
             KernelMode::Simd => {
-                for (ip, &exp) in i_regs.iter().zip(exps) {
-                    out.push(simd_row(&self.rsqrt, ip, &self.soa, &self.predicted, exp)?);
-                }
+                simd_block(&self.rsqrt, i_regs, exps, &self.soa, &self.predicted, None)?
             }
-        }
+        };
         self.censor_dead_pipelines(&mut out, exps);
         Ok(out)
     }
@@ -315,39 +308,24 @@ impl Chip {
             return Ok(exps.iter().map(|&e| PartialForce::new(e)).collect());
         }
         self.charge_and_predict(i_regs.len());
-        let mut out = Vec::with_capacity(i_regs.len());
-        match self.kernel {
-            KernelMode::Scalar => {
-                for (((ip, &exp), &h2i), nb) in
-                    i_regs.iter().zip(exps).zip(h2).zip(lists.iter_mut())
-                {
-                    let mut pf = PartialForce::new(exp);
-                    nb.clear();
-                    for (addr, jp) in self.predicted.iter().enumerate() {
-                        let r2 = interact(&self.rsqrt, ip, jp, &mut pf)?;
-                        if r2 < h2i && r2 > 0.0 {
-                            nb.push(addr as u32);
-                        }
-                    }
-                    out.push(pf);
-                }
-            }
-            KernelMode::Simd => {
-                for (((ip, &exp), &h2i), nb) in
-                    i_regs.iter().zip(exps).zip(h2).zip(lists.iter_mut())
-                {
-                    out.push(simd_row_nb(
-                        &self.rsqrt,
-                        ip,
-                        &self.soa,
-                        &self.predicted,
-                        exp,
-                        h2i,
-                        nb,
-                    )?);
-                }
-            }
-        }
+        let mut out = match self.kernel {
+            KernelMode::Scalar => i_regs
+                .iter()
+                .zip(exps)
+                .zip(h2.iter().zip(lists.iter_mut()))
+                .map(|((ip, &exp), (&h2i, nb))| {
+                    scalar_row(&self.rsqrt, ip, &self.predicted, exp, Some((h2i, nb)))
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+            KernelMode::Simd => simd_block(
+                &self.rsqrt,
+                i_regs,
+                exps,
+                &self.soa,
+                &self.predicted,
+                Some((h2, lists)),
+            )?,
+        };
         self.censor_dead_pipelines(&mut out, exps);
         if self.dead_pipelines != 0 {
             for (k, nb) in lists.iter_mut().enumerate() {
@@ -733,6 +711,34 @@ mod tests {
     }
 
     #[test]
+    fn one_bad_window_in_a_full_block_gives_the_scalar_kernels_error() {
+        let (mass, pos, vel) = test_system(130);
+        let i_regs: Vec<HwIParticle> = (0..48)
+            .map(|k| HwIParticle::from_host(pos[k], vel[k], 1e-4))
+            .collect();
+        let mut exps = vec![ExpSet::from_magnitudes(50.0, 500.0, 50.0); 48];
+        exps[29].jerk = -20;
+        let run = |mode: KernelMode, nb: bool| {
+            let mut chip = Chip::new(ChipConfig::default());
+            chip.set_kernel_mode(mode);
+            load_chip(&mut chip, &mass, &pos, &vel);
+            let out = if nb {
+                chip.compute_block_nb(&i_regs, &exps, &[0.09; 48], &mut Vec::new())
+            } else {
+                chip.compute_block(&i_regs, &exps)
+            };
+            // A failed pass is charged like any other.
+            assert_eq!(chip.cycles(), 30 + 8 * 130);
+            out.unwrap_err()
+        };
+        for nb in [false, true] {
+            let want = run(KernelMode::Scalar, nb);
+            assert!(matches!(want, BlockFpError::SummandOverflow { .. }));
+            assert_eq!(run(KernelMode::Simd, nb), want, "nb = {nb}");
+        }
+    }
+
+    #[test]
     fn kernels_agree_on_neighbour_path_and_reuse_buffers() {
         let (mass, pos, vel) = test_system(200);
         let h2 = 0.09;
@@ -888,7 +894,7 @@ mod tests {
         let (t, t2, t3) = (0.0625, 0.125, 0.1875);
         // A unit mass that is ~1 length unit from i-particle 0 at `t` and
         // `t2` but at softening distance from it at `t3`, where its force
-        // overflows the window: the lane row is discarded and re-run
+        // overflows the window: the lane group is discarded and re-run
         // through the oracle on the chip's `predicted` buffer.
         let flyby = JParticle {
             mass: 1.0,

@@ -5,17 +5,19 @@
 //! oracle**: one `(i, j)` pair per call, wrapped operands, a `Result` per
 //! accumulator add.  That faithfulness costs host wall-clock — every
 //! virtual second the benchmarks report is paid for in this loop — so the
-//! chip also carries one batched datapath, the generic lane row in
-//! [`crate::kernel_simd`], which evaluates one i-register against the
-//! *whole* j-batch with the same arithmetic but none of the per-pair
+//! chip also carries one batched datapath, the generic lane block in
+//! [`crate::kernel_simd`], which evaluates a whole pass — up to 48
+//! i-registers against the *whole* j-batch — the way the chip does: the
+//! i-particles sit across the lanes, one pipeline each, and the j-stream
+//! is broadcast to all of them.  Same arithmetic, none of the per-pair
 //! overhead:
 //!
 //! * the predicted j-particles are decoded into parallel arrays
 //!   ([`SoaBatch`]) **once per (time, j-memory contents)** — the chip
 //!   keeps the decoded batch across passes until a j-write or a new time
 //!   makes it stale: quantised mass, raw fixed-point position words,
-//!   quantised velocity words — the inner loop streams flat `f64`/`i64`
-//!   lanes instead of hopping through `PredictedJ` structs;
+//!   quantised velocity words — the inner loop broadcasts flat `f64`/`i64`
+//!   scalars instead of hopping through `PredictedJ` structs;
 //! * every operation is the *same* `f64` op with the same single rounding
 //!   (`quantize_sig`) the `PipeFloat` wrappers perform, in the same order —
 //!   values already quantised in memory (mass, velocities, ε²) are not
@@ -23,23 +25,26 @@
 //! * `x^(-3/2)` and `x^(-1/2)` come from **one** table decomposition and
 //!   index (`RsqrtCubedUnit::eval_both_lanes`), bit-identical to two
 //!   separate evaluations;
-//! * accumulation goes into raw `i64` block-FP lanes (`BatchLane`) with
-//!   the window scale hoisted out of the loop and overflow deferred to
-//!   sticky flags checked **once per chunk** — no `Result` on the happy
-//!   path.  A flagged row is discarded and re-run through the scalar
-//!   oracle, which reproduces the exact `BlockFpError` the host's retry
-//!   ladder expects (same j order ⇒ same first failure).
+//! * accumulation goes into `i64` block-FP lanes (`LaneAccum`), each lane
+//!   one i-particle's accumulator under its own window scale, with
+//!   overflow deferred to sticky per-lane flags checked **once per
+//!   `CHUNK`** — no `Result` on the happy path.  A group of lanes with a
+//!   flag is discarded and its i-particles re-run through the scalar
+//!   oracle in ascending i (`scalar_row`), which reproduces the exact
+//!   `BlockFpError` the host's retry ladder expects (same i order, same j
+//!   order ⇒ same first failure).
 //!
-//! [`batched_row`] / [`batched_row_nb`] run that datapath on the
-//! `Portable` lane instance whatever the host's dispatch would pick;
-//! [`crate::kernel_simd::simd_row`] runs it on the widest instance the
+//! [`batched_block`] and its one-i forms [`batched_row`] /
+//! [`batched_row_nb`] run that datapath on the `Portable` lane instance
+//! whatever the host's dispatch would pick;
+//! [`crate::kernel_simd::simd_block`] runs it on the widest instance the
 //! host has.  Bitwise identity with the oracle is structural, and it is
 //! enforced by proptests and by whole-schedule A/B runs in `tests/`.
 
 use grape6_arith::blockfp::BlockFpError;
 use grape6_arith::rsqrt::RsqrtCubedUnit;
 
-use crate::kernel_simd::portable_row;
+pub use crate::kernel_simd::batched_block;
 use crate::pipeline::{interact, ExpSet, HwIParticle, PartialForce};
 use crate::predictor::PredictedJ;
 
@@ -53,7 +58,7 @@ use crate::predictor::PredictedJ;
 pub enum KernelMode {
     /// Per-pair scalar pipeline — the reference oracle.
     Scalar,
-    /// The generic lane row over the batched SoA layout, on the widest
+    /// The generic lane block over the batched SoA layout, on the widest
     /// lane instance the host has: AVX-512 or AVX2 `core::arch` registers
     /// where `is_x86_feature_detected!` finds them, the portable 4-lane
     /// arrays everywhere else (non-x86 hosts, `GRAPE6_FORCE_SCALAR=1`).
@@ -78,37 +83,24 @@ impl KernelMode {
 /// when it is redone).
 #[derive(Clone, Debug, Default)]
 pub struct SoaBatch {
-    /// Number of real j-particles (the arrays may carry zero padding
-    /// beyond this, see [`decode`](Self::decode)).
-    n: usize,
     /// Quantised masses.
     pub(crate) mass: Vec<f64>,
-    /// Raw fixed-point position words, one lane per coordinate.
+    /// Raw fixed-point position words, one array per coordinate.
     pub(crate) px: Vec<i64>,
     pub(crate) py: Vec<i64>,
     pub(crate) pz: Vec<i64>,
-    /// Quantised predicted velocities, one lane per coordinate.
+    /// Quantised predicted velocities, one array per coordinate.
     pub(crate) vx: Vec<f64>,
     pub(crate) vy: Vec<f64>,
     pub(crate) vz: Vec<f64>,
 }
 
-/// Widest lane count the arrays are padded for (AVX-512: 8 × f64).
-pub(crate) const MAX_LANES: usize = 8;
-
 impl SoaBatch {
     /// Decode a pass's predicted j-particles.  All stored values are
     /// already in hardware formats (quantised / fixed point); this is a
-    /// pure layout transpose.
-    ///
-    /// The arrays are padded with zero-mass particles at the origin up to
-    /// a multiple of `MAX_LANES` so the lane kernel's full-width loads
-    /// never read past the end.  Padding never reaches an accumulator —
-    /// the kernels bound their accumulation and neighbour loops by
-    /// [`len`](Self::len), which reports the *real* count.
+    /// pure layout transpose.  The lane kernel reads the j side one
+    /// scalar at a time, so the seven arrays hold exactly the batch.
     pub fn decode(&mut self, predicted: &[PredictedJ]) {
-        self.n = predicted.len();
-        let padded = self.n.next_multiple_of(MAX_LANES);
         self.mass.clear();
         self.px.clear();
         self.py.clear();
@@ -116,56 +108,37 @@ impl SoaBatch {
         self.vx.clear();
         self.vy.clear();
         self.vz.clear();
-        self.mass.reserve(padded);
-        self.px.reserve(padded);
-        self.py.reserve(padded);
-        self.pz.reserve(padded);
-        self.vx.reserve(padded);
-        self.vy.reserve(padded);
-        self.vz.reserve(padded);
-        for p in predicted {
-            self.mass.push(p.mass);
-            self.px.push(p.pos.x.raw());
-            self.py.push(p.pos.y.raw());
-            self.pz.push(p.pos.z.raw());
-            self.vx.push(p.vel[0]);
-            self.vy.push(p.vel[1]);
-            self.vz.push(p.vel[2]);
-        }
-        for _ in self.n..padded {
-            self.mass.push(0.0);
-            self.px.push(0);
-            self.py.push(0);
-            self.pz.push(0);
-            self.vx.push(0.0);
-            self.vy.push(0.0);
-            self.vz.push(0.0);
-        }
+        self.mass.extend(predicted.iter().map(|p| p.mass));
+        self.px.extend(predicted.iter().map(|p| p.pos.x.raw()));
+        self.py.extend(predicted.iter().map(|p| p.pos.y.raw()));
+        self.pz.extend(predicted.iter().map(|p| p.pos.z.raw()));
+        self.vx.extend(predicted.iter().map(|p| p.vel[0]));
+        self.vy.extend(predicted.iter().map(|p| p.vel[1]));
+        self.vz.extend(predicted.iter().map(|p| p.vel[2]));
     }
 
-    /// Number of j-particles in the batch (excluding lane padding).
+    /// Number of j-particles in the batch.
     pub fn len(&self) -> usize {
-        self.n
+        self.mass.len()
     }
 
     /// Is the batch empty?
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.mass.is_empty()
     }
 }
 
-/// j-particles per inner chunk: the chunk scratch arrays (8 lanes of
-/// `CHUNK` doubles) must stay L1-resident, the deferred overflow check
-/// should bail out early on a hopeless window, and the per-chunk loop
-/// overhead must vanish.  128 ⇒ 8 KiB of scratch.
+/// j-particles between two looks at a lane group's deferred overflow
+/// flags: often enough to bail out early on a hopeless window, rarely
+/// enough for the check to vanish from the loop.
 pub(crate) const CHUNK: usize = 128;
 
 /// Evaluate one i-register against the whole batch (plain force pass) on
-/// the portable lanes, whatever dispatch would pick.
+/// the portable lanes: a one-i [`batched_block`].
 ///
 /// `Ok(pf)` is bit-identical to the scalar `interact` loop; `Err` is the
 /// exact error that loop would have returned (produced by re-running the
-/// row through the oracle once a chunk's deferred flags trip).
+/// i-particle through the oracle once a chunk's deferred flags trip).
 pub fn batched_row(
     rsqrt: &RsqrtCubedUnit,
     ip: &HwIParticle,
@@ -173,17 +146,14 @@ pub fn batched_row(
     predicted: &[PredictedJ],
     exps: ExpSet,
 ) -> Result<PartialForce, BlockFpError> {
-    let mut no_nb = Vec::new();
-    match portable_row(rsqrt, ip, batch, exps, None, &mut no_nb) {
-        Some(pf) => Ok(pf),
-        None => scalar_fallback(rsqrt, ip, predicted, exps),
-    }
+    let ip = std::slice::from_ref(ip);
+    batched_block(rsqrt, ip, &[exps], batch, predicted, None).map(|pf| pf[0])
 }
 
 /// Evaluate one i-register against the whole batch with neighbour
 /// detection, on the portable lanes: local addresses of every j with
 /// unsoftened `r² < h2i` (self-pairs, `r = 0`, are not flagged) are
-/// appended to `nb`, which is cleared first.
+/// appended to `nb`, which is cleared first (and left empty on `Err`).
 pub fn batched_row_nb(
     rsqrt: &RsqrtCubedUnit,
     ip: &HwIParticle,
@@ -193,31 +163,37 @@ pub fn batched_row_nb(
     h2i: f64,
     nb: &mut Vec<u32>,
 ) -> Result<PartialForce, BlockFpError> {
-    nb.clear();
-    match portable_row(rsqrt, ip, batch, exps, Some(h2i), nb) {
-        Some(pf) => Ok(pf),
-        None => {
-            // The partially filled list belongs to a discarded row.
-            nb.clear();
-            scalar_fallback(rsqrt, ip, predicted, exps)
-        }
-    }
+    let (ip, h2) = (std::slice::from_ref(ip), [h2i]);
+    let nb = Some((&h2[..], std::slice::from_mut(nb)));
+    batched_block(rsqrt, ip, &[exps], batch, predicted, nb).map(|pf| pf[0])
 }
 
-/// Re-run a flagged row through the scalar oracle to recover the exact
-/// error value.  The oracle sees the same j-sequence, so it fails at the
-/// same first-overflowing summand; if it somehow completes (it cannot,
-/// by the `BatchLane` flag contract), its result is still the correct
-/// bits and is returned as such.
-pub(crate) fn scalar_fallback(
+/// One i-register through the scalar oracle: the `interact` loop in
+/// ascending j, with the neighbour comparator when `nb` carries a radius
+/// and a list (cleared first).  This is [`KernelMode::Scalar`]'s pass
+/// body, and what the lane block re-runs a flagged group's i-particles
+/// through to recover the exact error value: the oracle sees the same
+/// j-sequence, so it fails at the same first-overflowing summand; if it
+/// somehow completes (it cannot, by the `LaneAccum` flag contract), its
+/// result and list are still the correct bits and are used as such.
+pub(crate) fn scalar_row(
     rsqrt: &RsqrtCubedUnit,
     ip: &HwIParticle,
     predicted: &[PredictedJ],
     exps: ExpSet,
+    mut nb: Option<(f64, &mut Vec<u32>)>,
 ) -> Result<PartialForce, BlockFpError> {
     let mut pf = PartialForce::new(exps);
-    for jp in predicted {
-        interact(rsqrt, ip, jp, &mut pf)?;
+    if let Some((_, list)) = &mut nb {
+        list.clear();
+    }
+    for (addr, jp) in predicted.iter().enumerate() {
+        let r2 = interact(rsqrt, ip, jp, &mut pf)?;
+        if let Some((h2i, list)) = &mut nb {
+            if r2 < *h2i && r2 > 0.0 {
+                list.push(addr as u32);
+            }
+        }
     }
     Ok(pf)
 }

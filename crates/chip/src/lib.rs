@@ -16,9 +16,10 @@
 //!   streams, the per-chip [`KernelMode`] selector, and the entry points
 //!   pinned to the portable lanes;
 //! * [`kernel_simd`] — the one batched datapath: the same arithmetic as
-//!   [`pipeline`] written once over generic lanes and evaluated
-//!   batch-at-a-time for host speed, instantiated for portable arrays and
-//!   for AVX2 / AVX-512 `core::arch` registers (runtime-dispatched),
+//!   [`pipeline`] written once over generic lanes and evaluated a whole
+//!   pass at a time for host speed — i-particles across the lanes, the
+//!   j-stream broadcast, as on the die — instantiated for portable arrays
+//!   and for AVX2 / AVX-512 `core::arch` registers (runtime-dispatched),
 //!   bitwise identical to the scalar oracle on every instance;
 //! * [`chip`] — the assembled chip: six pipelines × 8-way virtual
 //!   multipipelining = forces on 48 i-particles per pass, block

@@ -101,29 +101,46 @@ proptest! {
     }
 
     /// The lane kernel lands on the scalar oracle's exact bits — forces
-    /// *and* neighbour lists — for arbitrary particle sets (any count,
-    /// multiples of the lane width or not), including a probe coincident
-    /// with a j-particle (a softening-only self-interaction when
-    /// `eps2 > 0`, an `r = 0` hardware drop when `eps2 == 0`): at chip
-    /// level through whatever lane level the host dispatches to, and at
-    /// row level through the entry points pinned to the portable lanes.
+    /// *and* neighbour lists — for arbitrary particle sets and arbitrary
+    /// blocks of 1 to 48 probes (whole lane groups, ragged tails, a single
+    /// register), every probe under its own `ExpSet` and its own `h²`
+    /// (from "nobody" to "most of the box", so the lists are not all
+    /// empty), including a probe coincident with a j-particle (a softening-only
+    /// self-interaction when `eps2 > 0`, an `r = 0` hardware drop when
+    /// `eps2 == 0`): at chip level through whatever lane level the host
+    /// dispatches to, and through the entry points pinned to the portable
+    /// lanes — the whole block, and the first probes as one-i rows.
     #[test]
     fn batched_kernel_bitwise_matches_scalar_oracle(
         particles in prop::collection::vec(particle_strategy(), 1..40),
-        probe in particle_strategy(),
+        probes in prop::collection::vec(
+            (particle_strategy(), prop::array::uniform3(0i32..6), 1e-4f64..100.0),
+            1..=48,
+        ),
         eps2 in prop_oneof![Just(0.0f64), 1e-6f64..1e-2],
-        h2 in 1e-4f64..0.5,
     ) {
         use grape6::arith::rsqrt::RsqrtCubedUnit;
         use grape6::chip::jmem::HwJParticle;
-        use grape6::chip::kernel::{batched_row, batched_row_nb, SoaBatch};
+        use grape6::chip::kernel::{batched_block, batched_row, batched_row_nb, SoaBatch};
         use grape6::chip::pipeline::{interact, PartialForce};
         use grape6::chip::predictor::predict;
-        let i_regs = [
-            HwIParticle::from_host(particles[0].pos, particles[0].vel, eps2),
-            HwIParticle::from_host(probe.pos, probe.vel, eps2),
-        ];
-        let exp = ExpSet::from_magnitudes(100.0, 1000.0, 100.0);
+        let n_i = probes.len();
+        // The first probe sits on the first j-particle.
+        let i_regs: Vec<HwIParticle> = std::iter::once(&particles[0])
+            .chain(probes.iter().skip(1).map(|(p, _, _)| p))
+            .map(|p| HwIParticle::from_host(p.pos, p.vel, eps2))
+            .collect();
+        // Wide enough for these draws, and different per probe.
+        let base = ExpSet::from_magnitudes(100.0, 1000.0, 100.0);
+        let exps: Vec<ExpSet> = probes
+            .iter()
+            .map(|(_, w, _)| ExpSet {
+                acc: base.acc + w[0],
+                jerk: base.jerk + w[1],
+                pot: base.pot + w[2],
+            })
+            .collect();
+        let h2: Vec<f64> = probes.iter().map(|&(_, _, h2)| h2).collect();
         let run_chip = |mode: KernelMode| {
             let mut chip = Chip::new(ChipConfig::default());
             chip.set_kernel_mode(mode);
@@ -132,7 +149,7 @@ proptest! {
             }
             chip.set_time(0.0);
             let mut nb = Vec::new();
-            let pf = chip.compute_block_nb(&i_regs, &[exp; 2], &[h2; 2], &mut nb).unwrap();
+            let pf = chip.compute_block_nb(&i_regs, &exps, &h2, &mut nb).unwrap();
             (pf, nb)
         };
         let (a, nb_s) = run_chip(KernelMode::Scalar);
@@ -146,33 +163,41 @@ proptest! {
             .collect();
         let mut batch = SoaBatch::default();
         batch.decode(&predicted);
-        for i in 0..2 {
-            let mut want = PartialForce::new(exp);
+        let mut nb_p = vec![Vec::new(); n_i];
+        let c = batched_block(&rsqrt, &i_regs, &exps, &batch, &predicted, Some((&h2, &mut nb_p)))
+            .unwrap();
+        for i in 0..n_i {
+            let mut want = PartialForce::new(exps[i]);
             let mut want_nb = Vec::new();
             for (addr, jp) in predicted.iter().enumerate() {
                 let r2 = interact(&rsqrt, &i_regs[i], jp, &mut want).unwrap();
-                if r2 < h2 && r2 > 0.0 {
+                if r2 < h2[i] && r2 > 0.0 {
                     want_nb.push(addr as u32);
                 }
             }
-            let mut nb = Vec::new();
-            let rows = [
-                ("chip scalar", a[i]),
-                ("chip simd", b[i]),
-                ("batched_row", batched_row(&rsqrt, &i_regs[i], &batch, &predicted, exp).unwrap()),
-                (
-                    "batched_row_nb",
-                    batched_row_nb(&rsqrt, &i_regs[i], &batch, &predicted, exp, h2, &mut nb).unwrap(),
-                ),
-            ];
-            prop_assert_eq!(&nb, &want_nb, "neighbour list diverged (batched_row_nb, i={})", i);
             prop_assert_eq!(&nb_s[i], &want_nb, "neighbour list diverged (chip, i={})", i);
+            prop_assert_eq!(&nb_p[i], &want_nb, "neighbour list diverged (batched_block, i={})", i);
+            let mut rows = vec![("chip scalar", a[i]), ("chip simd", b[i]), ("batched_block", c[i])];
+            if i < 2 {
+                let mut nb = Vec::new();
+                rows.push((
+                    "batched_row",
+                    batched_row(&rsqrt, &i_regs[i], &batch, &predicted, exps[i]).unwrap(),
+                ));
+                rows.push((
+                    "batched_row_nb",
+                    batched_row_nb(&rsqrt, &i_regs[i], &batch, &predicted, exps[i], h2[i], &mut nb)
+                        .unwrap(),
+                ));
+                prop_assert_eq!(&nb, &want_nb, "neighbour list diverged (batched_row_nb, i={})", i);
+            }
             for (label, got) in rows {
                 for c in 0..3 {
                     prop_assert_eq!(want.acc[c].mant(), got.acc[c].mant(), "{} acc[{}][{}]", label, i, c);
                     prop_assert_eq!(want.jerk[c].mant(), got.jerk[c].mant(), "{} jerk[{}][{}]", label, i, c);
                 }
                 prop_assert_eq!(want.pot.mant(), got.pot.mant(), "{} pot[{}]", label, i);
+                prop_assert_eq!(exps[i], got.exps(), "{} windows[{}]", label, i);
             }
         }
     }
