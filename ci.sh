@@ -25,12 +25,15 @@ cargo clippy --workspace --lib --bins --tests --examples --locked -- -D warnings
 echo "==> cargo doc --workspace --no-deps --locked (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --quiet
 
-echo "==> schedule bitwise suite across the rayon thread matrix"
-# The §3.4 reproducibility gate must hold for any worker count: pin one
-# thread, then repeat with the environment default (all cores — a no-op
-# under the offline sequential rayon stub, the real matrix on CI hosts).
-RAYON_NUM_THREADS=1 cargo test -q --locked --test overlap_bitwise
-cargo test -q --locked --test overlap_bitwise
+echo "==> bitwise suites across the fan-out thread matrix"
+# The §3.4 reproducibility gate must hold for any worker count, on real
+# threads: GRAPE6_THREADS=1 keeps every fan-out on its caller (no worker
+# is spawned), GRAPE6_THREADS=2 walks the boards / modules on the caller
+# plus one `nbody_core::fanout` worker — whatever this host's core count.
+for threads in 1 2; do
+  GRAPE6_THREADS=$threads cargo test -q --locked \
+    --test overlap_bitwise --test cross_engine --test farm_bitwise --test fault_injection
+done
 
 echo "==> SIMD dispatch off: bitwise suite on the portable lanes"
 # GRAPE6_FORCE_SCALAR=1 disables runtime SIMD dispatch, so KernelMode::Simd
@@ -41,7 +44,7 @@ echo "==> SIMD dispatch off: bitwise suite on the portable lanes"
 # narrower copy of it: i-registers go four to a lane group instead of
 # eight, so group boundaries, ragged last groups and the ascending-i
 # error fallback fall on different registers of every block.
-GRAPE6_FORCE_SCALAR=1 RAYON_NUM_THREADS=1 cargo test -q --locked --test overlap_bitwise
+GRAPE6_FORCE_SCALAR=1 GRAPE6_THREADS=2 cargo test -q --locked --test overlap_bitwise
 GRAPE6_FORCE_SCALAR=1 cargo test -q --locked --test props_hw
 GRAPE6_FORCE_SCALAR=1 cargo test -q --locked -p grape6-chip -p grape6-arith
 

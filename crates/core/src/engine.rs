@@ -290,12 +290,14 @@ impl Grape6Engine {
         }
     }
 
-    /// Switch the board/module/chip walk between the rayon-parallel and
-    /// the serial schedule (default: parallel).  §3.4 block floating-point
-    /// summation makes the two bitwise identical — the partial forces are
-    /// collected per child and merged in a fixed order either way — so
-    /// this only changes *how* the simulated hardware is walked, never
-    /// what it returns.
+    /// Switch the board/module/chip walk between the schedule fanned out
+    /// over `nbody_core::fanout`'s worker threads and the serial one
+    /// (default: fanned out; `GRAPE6_THREADS` sets the thread count).
+    /// §3.4 block floating-point summation makes the two bitwise
+    /// identical — the partial forces are collected in the slot of their
+    /// child's index and merged in that order either way — so this only
+    /// changes *how* the simulated hardware is walked, never what it
+    /// returns.
     pub fn set_board_parallel(&mut self, parallel: bool) {
         self.hw.set_parallel(parallel);
     }

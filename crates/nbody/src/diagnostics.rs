@@ -7,8 +7,7 @@
 //! results on machines with different sizes") is checked at the bit level
 //! elsewhere, but energy drift is what tells you the *integration* is right.
 
-use rayon::prelude::*;
-
+use crate::fanout;
 use crate::particle::ParticleSet;
 use crate::vec3::Vec3;
 
@@ -46,8 +45,11 @@ pub fn energy(set: &ParticleSet, eps2: f64) -> Energy {
         }
         w
     };
+    // Per-particle partials are collected by index and added in ascending
+    // order here, so the sum is the sequential one bit for bit however many
+    // threads computed the partials.
     let potential = if n > 512 {
-        (0..n).into_par_iter().map(pot_of).sum()
+        fanout::map_range(n, pot_of).iter().sum()
     } else {
         (0..n).map(pot_of).sum()
     };
@@ -77,7 +79,7 @@ pub fn local_densities(set: &ParticleSet) -> Vec<f64> {
         (K - 1) as f64 * m_mean / r_k.powi(3)
     };
     if n > 512 {
-        (0..n).into_par_iter().map(rho_of).collect()
+        fanout::map_range(n, rho_of)
     } else {
         (0..n).map(rho_of).collect()
     }
@@ -194,6 +196,45 @@ mod tests {
         assert!((e.total() + 0.125).abs() < 1e-15);
         // Circular binary is virialised: Q = 0.5.
         assert!((e.virial_ratio() - 0.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn fanned_out_diagnostics_are_bit_equal_to_the_sequential_ones() {
+        use crate::ic::plummer::plummer_model;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let set = plummer_model(1024, &mut StdRng::seed_from_u64(23));
+        let eps2 = 1.0 / 4096.0;
+        // The sequential potential: per-particle partials added in
+        // ascending index on one thread, as `n ≤ 512` computes it.
+        let n = set.n();
+        let want: f64 = (0..n)
+            .map(|i| {
+                let mut w = 0.0;
+                for j in (i + 1)..n {
+                    let r2 = (set.pos[j] - set.pos[i]).norm2() + eps2;
+                    w -= set.mass[i] * set.mass[j] / r2.sqrt();
+                }
+                w
+            })
+            .sum();
+        // From this thread the fan-outs take the pool (unless a test
+        // beside this one holds it) …
+        let (e, rho) = (energy(&set, eps2), local_densities(&set));
+        assert_eq!(e.potential.to_bits(), want.to_bits());
+        // … and from inside a task they find it busy and run sequentially
+        // on the task's thread.
+        for (e_seq, rho_seq) in
+            fanout::map(0..2, |_, _| (energy(&set, eps2), local_densities(&set)))
+        {
+            assert_eq!(e_seq.potential.to_bits(), want.to_bits());
+            assert_eq!(e_seq.kinetic.to_bits(), e.kinetic.to_bits());
+            assert_eq!(rho_seq.len(), n);
+            assert!(rho_seq
+                .iter()
+                .zip(&rho)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

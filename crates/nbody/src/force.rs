@@ -7,8 +7,8 @@
 //! interface, so the same Hermite integrator runs unchanged on
 //!
 //! * [`DirectEngine`] — the reference double-precision host implementation
-//!   (scalar below [`DirectEngine::PAR_THRESHOLD`] interactions, rayon-
-//!   parallel above it),
+//!   (scalar below [`DirectEngine::PAR_THRESHOLD`] interactions, fanned
+//!   out over [`crate::fanout`] above it),
 //! * the simulated GRAPE-6 machine (`grape6-core`), and
 //! * remote engines inside the parallel-algorithm simulators.
 //!
@@ -27,8 +27,7 @@
 //!   time derivative (paper §4.1) — the accounting behind every Tflops
 //!   number in the paper.
 
-use rayon::prelude::*;
-
+use crate::fanout;
 use crate::vec3::Vec3;
 
 /// Floating-point operations attributed to one pairwise force+jerk
@@ -281,7 +280,7 @@ pub struct DirectEngine {
 
 impl DirectEngine {
     /// Below this many pairwise interactions per `compute` call the kernel
-    /// stays scalar; above it rayon splits the i-block across cores.
+    /// stays scalar; above it [`fanout`] splits the i-block across cores.
     pub const PAR_THRESHOLD: usize = 1 << 16;
 
     /// New engine with `n` zeroed j-slots.
@@ -352,9 +351,7 @@ impl ForceEngine for DirectEngine {
         self.predict_all();
         let work = i.len() * self.j.len();
         if work >= Self::PAR_THRESHOLD && i.len() > 1 {
-            out.par_iter_mut().zip(i.par_iter()).for_each(|(o, ip)| {
-                *o = self.force_on(ip);
-            });
+            fanout::map(out.iter_mut().zip(i), |_, (o, ip)| *o = self.force_on(ip));
         } else {
             for (o, ip) in out.iter_mut().zip(i) {
                 *o = self.force_on(ip);
@@ -393,7 +390,7 @@ pub fn direct_all(mass: &[f64], pos: &[Vec3], vel: &[Vec3], eps2: f64) -> Vec<Fo
         ForceResult { acc, jerk, pot }
     };
     if n * n >= DirectEngine::PAR_THRESHOLD {
-        (0..n).into_par_iter().map(body).collect()
+        fanout::map_range(n, body)
     } else {
         (0..n).map(body).collect()
     }

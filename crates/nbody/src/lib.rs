@@ -15,7 +15,8 @@
 //!   workload), planetesimal disks (the §5 Kuiper-belt application), and the
 //!   binary-black-hole setup (§5's second application);
 //! * [`force`] — reference double-precision direct-summation kernels
-//!   (acceleration, jerk, potential), scalar and rayon-parallel, plus the
+//!   (acceleration, jerk, potential), scalar and fanned out over
+//!   [`fanout`], plus the
 //!   [`force::ForceEngine`] abstraction every backend (host f64, simulated
 //!   GRAPE-6, treecode) implements;
 //! * [`hermite`] — the 4th-order Hermite scheme of Makino & Aarseth (1992):
@@ -24,10 +25,14 @@
 //!   integrators;
 //! * [`diagnostics`] — energy / angular-momentum / virial bookkeeping used
 //!   to validate every engine against every other;
-//! * [`io`] — versioned snapshot files (the frontends' checkpoint layer).
+//! * [`io`] — versioned snapshot files (the frontends' checkpoint layer);
+//! * [`fanout`] — the workspace's one data-parallel mechanism: persistent
+//!   worker threads, results collected in index order so no bit depends on
+//!   the schedule.
 
 pub mod blockstep;
 pub mod diagnostics;
+pub mod fanout;
 pub mod force;
 pub mod hermite;
 pub mod ic;

@@ -15,15 +15,18 @@
 //!   to the critical path per level, modelling the FPGA adder tree and the
 //!   LVDS hop.
 //!
-//! Children execute concurrently (rayon) exactly as the hardware does; the
-//! block-FP merge makes the result independent of execution order.
+//! Children execute concurrently exactly as the hardware does, fanned out
+//! over [`nbody_core::fanout`]: child `k`'s partial forces land in slot `k`
+//! and are merged in ascending `k` on the caller, so neither the completion
+//! order nor the worker count can reach the bits — and the block-FP merge
+//! would make the result independent of the order even if they could.
 
 use grape6_arith::blockfp::BlockFpError;
 use grape6_chip::kernel::KernelMode;
 use grape6_chip::pipeline::{ExpSet, HwIParticle, PartialForce};
 use grape6_fault::{ChipFault, ReductionFaultSchedule};
+use nbody_core::fanout;
 use nbody_core::force::JParticle;
-use rayon::prelude::*;
 
 use crate::unit::{GrapeUnit, LoadError};
 
@@ -47,9 +50,10 @@ pub struct Ensemble<U> {
     passes: u64,
     /// Injected reduction-network fault, if any.
     reduction_fault: Option<ReductionFaultSchedule>,
-    /// Walk children with rayon (`true`, the hardware-faithful default —
-    /// all children genuinely run at once) or strictly in sequence
-    /// (`false`, the serial baseline).  Bitwise-invisible either way.
+    /// Walk children through [`fanout`] (`true`, the hardware-faithful
+    /// default — all children genuinely run at once, as far as the host
+    /// has cores) or strictly in sequence (`false`, the serial baseline).
+    /// Bitwise-invisible either way.
     parallel: bool,
     /// Cycles added to the critical path for this level's reduction.
     pub reduction_latency: u64,
@@ -184,18 +188,12 @@ impl<U: GrapeUnit> GrapeUnit for Ensemble<U> {
         // i-block (or in sequence for the serial baseline — same bits
         // either way); masked children are never driven.
         let active = &self.active;
+        let walk = |k: usize, c: &mut U| active[k].then(|| c.compute_block(i, exps));
+        let children = self.children.iter_mut();
         let partials: Vec<Option<Result<Vec<PartialForce>, BlockFpError>>> = if self.parallel {
-            self.children
-                .par_iter_mut()
-                .enumerate()
-                .map(|(k, c)| active[k].then(|| c.compute_block(i, exps)))
-                .collect()
+            fanout::map(children, walk)
         } else {
-            self.children
-                .iter_mut()
-                .enumerate()
-                .map(|(k, c)| active[k].then(|| c.compute_block(i, exps)))
-                .collect()
+            children.enumerate().map(|(k, c)| walk(k, c)).collect()
         };
         // Critical path = slowest in-service child + this level's reduction.
         let slowest = self
@@ -245,20 +243,14 @@ impl<U: GrapeUnit> GrapeUnit for Ensemble<U> {
         let active = &self.active;
         // Each child fills its own scratch buffer, so the concurrent walk
         // never shares a list and repeat passes reuse the allocations.
+        let walk = |k: usize, (c, buf): (&mut U, &mut Vec<Vec<u32>>)| {
+            active[k].then(|| c.compute_block_nb(i, exps, h2, buf))
+        };
+        let pairs = self.children.iter_mut().zip(&mut self.nb_scratch);
         let results: Vec<Option<Result<Vec<PartialForce>, BlockFpError>>> = if self.parallel {
-            self.children
-                .par_iter_mut()
-                .zip(self.nb_scratch.par_iter_mut())
-                .enumerate()
-                .map(|(k, (c, buf))| active[k].then(|| c.compute_block_nb(i, exps, h2, buf)))
-                .collect()
+            fanout::map(pairs, walk)
         } else {
-            self.children
-                .iter_mut()
-                .zip(self.nb_scratch.iter_mut())
-                .enumerate()
-                .map(|(k, (c, buf))| active[k].then(|| c.compute_block_nb(i, exps, h2, buf)))
-                .collect()
+            pairs.enumerate().map(|(k, pair)| walk(k, pair)).collect()
         };
         let slowest = self
             .children
@@ -471,22 +463,35 @@ mod tests {
         }
     }
 
+    /// Mantissas and windows of every accumulator of a block.
+    fn bits(forces: &[PartialForce]) -> Vec<([i64; 7], ExpSet)> {
+        forces
+            .iter()
+            .map(|f| {
+                let m = |a: &grape6_arith::blockfp::BlockAccum| a.mant();
+                let mants = [
+                    m(&f.acc[0]),
+                    m(&f.acc[1]),
+                    m(&f.acc[2]),
+                    m(&f.jerk[0]),
+                    m(&f.jerk[1]),
+                    m(&f.jerk[2]),
+                    m(&f.pot),
+                ];
+                (mants, f.exps())
+            })
+            .collect()
+    }
+
     #[test]
     fn serial_walk_matches_parallel_walk_bitwise() {
-        // §3.4: the block-FP merge is order-independent, so the rayon walk
-        // and the strictly sequential walk must produce identical bits
-        // (and identical critical-path cycle counts).
-        let n = 60;
-        let mut par = Ensemble::new(chips(4));
-        let mut ser = Ensemble::new(chips(4));
-        ser.set_parallel(false);
-        assert!(par.is_parallel() && !ser.is_parallel());
-        for k in 0..n {
-            par.load_j(k, &particle(k)).unwrap();
-            ser.load_j(k, &particle(k)).unwrap();
-        }
-        par.set_time(0.0);
-        ser.set_time(0.0);
+        // §3.4 on real threads: the fanned-out walk and the strictly
+        // sequential walk of the paper's full host — 4 boards × 8 modules
+        // × 4 chips, 2 j per chip — produce identical bits, identical
+        // neighbour lists, identical errors and identical cycle counts.
+        use crate::machine::MachineConfig;
+        let cfg = MachineConfig::builder().jmem_capacity(64).build().unwrap();
+        let n = 2 * cfg.total_chips();
         let i: Vec<HwIParticle> = (0..48)
             .map(|k| {
                 let p = particle(k + 100);
@@ -494,16 +499,51 @@ mod tests {
             })
             .collect();
         let exps = vec![ExpSet::from_magnitudes(5.0, 5.0, 5.0); 48];
-        let a = par.compute_block(&i, &exps).unwrap();
-        let b = ser.compute_block(&i, &exps).unwrap();
-        for k in 0..48 {
-            for c in 0..3 {
-                assert_eq!(a[k].acc[c].mant(), b[k].acc[c].mant(), "i={k} c={c}");
-                assert_eq!(a[k].jerk[c].mant(), b[k].jerk[c].mant());
+        let h2 = vec![0.36; 48];
+        // `degrade`: one module of board 1 masked before loading, and
+        // board 2's reduction network glitching on its pass 2.
+        for degrade in [false, true] {
+            let mut par = cfg.build();
+            let mut ser = cfg.build();
+            ser.set_parallel(false);
+            assert!(par.is_parallel() && !ser.is_parallel());
+            assert!(par.children()[3].children()[7].is_parallel());
+            for m in [&mut par, &mut ser] {
+                if degrade {
+                    assert!(m.mask_path(&[1, 3]));
+                    let glitch = ReductionFaultSchedule::AtPasses(vec![2]);
+                    assert!(m.inject_reduction_fault(&[2], &glitch));
+                }
+                for k in 0..n {
+                    m.load_j(k, &particle(k)).unwrap();
+                }
+                m.set_time(0.0);
             }
-            assert_eq!(a[k].pot.mant(), b[k].pot.mant());
+            let (mut nb_par, mut nb_ser) = (Vec::new(), Vec::new());
+            for pass in 1..=4 {
+                let (a, b) = if pass % 2 == 1 {
+                    (par.compute_block(&i, &exps), ser.compute_block(&i, &exps))
+                } else {
+                    (
+                        par.compute_block_nb(&i, &exps, &h2, &mut nb_par),
+                        ser.compute_block_nb(&i, &exps, &h2, &mut nb_ser),
+                    )
+                };
+                assert_eq!(par.last_pass_cycles(), ser.last_pass_cycles());
+                assert_eq!(par.total_cycles(), ser.total_cycles());
+                assert_eq!(par.total_interactions(), ser.total_interactions());
+                if degrade && pass == 2 {
+                    assert_eq!(a.unwrap_err(), b.unwrap_err(), "same glitch, same error");
+                    continue;
+                }
+                assert_eq!(bits(&a.unwrap()), bits(&b.unwrap()), "pass {pass}");
+                if pass % 2 == 0 {
+                    assert_eq!(nb_par, nb_ser);
+                    assert!(nb_par.iter().any(|l| !l.is_empty()));
+                    assert!(nb_par.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
+                }
+            }
         }
-        assert_eq!(par.last_pass_cycles(), ser.last_pass_cycles());
     }
 
     #[test]

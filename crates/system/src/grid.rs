@@ -24,8 +24,8 @@
 
 use grape6_arith::blockfp::BlockFpError;
 use grape6_chip::pipeline::{ExpSet, HwIParticle, PartialForce};
+use nbody_core::fanout;
 use nbody_core::force::JParticle;
-use rayon::prelude::*;
 
 use crate::unit::{GrapeUnit, LoadError};
 
@@ -132,27 +132,23 @@ impl<U: GrapeUnit> GridNetwork<U> {
             for (idx, u) in self.units.iter_mut().enumerate() {
                 per_col[idx % cols].push(u);
             }
-            per_col
-                .into_par_iter()
-                .enumerate()
-                .map(|(q, col_units)| {
-                    let block = &blocks[q];
-                    let e = &exps[q];
-                    let mut acc: Option<Vec<PartialForce>> = None;
-                    for u in col_units {
-                        let part = u.compute_block(block, e)?;
-                        match &mut acc {
-                            None => acc = Some(part),
-                            Some(a) => {
-                                for (x, y) in a.iter_mut().zip(&part) {
-                                    x.merge(y)?;
-                                }
+            fanout::map(per_col, |q, col_units| {
+                let block = &blocks[q];
+                let e = &exps[q];
+                let mut acc: Option<Vec<PartialForce>> = None;
+                for u in col_units {
+                    let part = u.compute_block(block, e)?;
+                    match &mut acc {
+                        None => acc = Some(part),
+                        Some(a) => {
+                            for (x, y) in a.iter_mut().zip(&part) {
+                                x.merge(y)?;
                             }
                         }
                     }
-                    Ok(acc.unwrap_or_default())
-                })
-                .collect()
+                }
+                Ok(acc.unwrap_or_default())
+            })
         };
         // Critical path: slowest unit + one reduction per row joined.
         let slowest = self

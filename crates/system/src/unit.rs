@@ -159,12 +159,16 @@ pub trait GrapeUnit: Send {
         let _ = passes;
     }
 
-    /// Choose between the concurrent (rayon) and the strictly sequential
-    /// child walk, recursively.  Results are bitwise identical either way —
-    /// the block floating-point reduction is order- and partition-
-    /// independent (§3.4) — so this only trades wall-clock for
-    /// determinism-of-schedule (profiling, the serial baseline of the
-    /// overlap benchmark).  Leaves have no children and ignore it.
+    /// Choose between the concurrent child walk (children fanned out over
+    /// [`nbody_core::fanout`]: a fan-out of one child, or one that finds
+    /// the pool busy, runs on its caller, and every child's result lands
+    /// in the slot of its index) and the strictly sequential one,
+    /// recursively.  Results are bitwise identical either way — the
+    /// partial forces are merged in child order whoever computed them,
+    /// and the block floating-point reduction is order- and partition-
+    /// independent anyway (§3.4) — so this only trades wall-clock for
+    /// determinism-of-schedule (profiling, the serial reference of the
+    /// benchmark).  Leaves have no children and ignore it.
     fn set_parallel(&mut self, parallel: bool) {
         let _ = parallel;
     }

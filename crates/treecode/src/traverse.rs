@@ -6,9 +6,9 @@
 //! with the same Plummer kernel as the direct code, so accuracy
 //! comparisons are apples-to-apples.
 
+use nbody_core::fanout;
 use nbody_core::force::pair_force;
 use nbody_core::Vec3;
-use rayon::prelude::*;
 
 use crate::tree::{Octree, NO_CHILD};
 
@@ -157,14 +157,11 @@ pub fn tree_forces_ord(
     order: MultipoleOrder,
 ) -> (Vec<Vec3>, Vec<f64>, TraverseStats) {
     let n = tree.n();
-    let results: Vec<(Vec3, f64, TraverseStats)> = (0..n)
-        .into_par_iter()
-        .map(|k| {
-            let mut st = TraverseStats::default();
-            let (a, p) = force_on_ord(tree, tree.pos[k], k, theta, eps2, order, &mut st);
-            (a, p, st)
-        })
-        .collect();
+    let results: Vec<(Vec3, f64, TraverseStats)> = fanout::map_range(n, |k| {
+        let mut st = TraverseStats::default();
+        let (a, p) = force_on_ord(tree, tree.pos[k], k, theta, eps2, order, &mut st);
+        (a, p, st)
+    });
     let mut acc = vec![Vec3::ZERO; n];
     let mut pot = vec![0.0; n];
     let mut stats = TraverseStats::default();

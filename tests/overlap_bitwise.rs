@@ -1,8 +1,12 @@
 //! Acceptance: the three execution schedules — serial board walk with
-//! blocking blocksteps, rayon-parallel board walk with blocking
-//! blocksteps, and rayon-parallel board walk with split-phase overlapped
-//! blocksteps — produce **bitwise-identical** trajectories over 100+
-//! blocksteps.
+//! blocking blocksteps, board walk fanned out over `nbody_core::fanout`
+//! with blocking blocksteps, and fanned-out board walk with split-phase
+//! overlapped blocksteps — produce **bitwise-identical** trajectories
+//! over 100+ blocksteps.  (In the overlapped schedule the engine runs on
+//! the integrator's scoped thread while the test threads beside it fan
+//! out too: whoever finds the pool busy walks its boards itself — rule 2
+//! of `fanout` — and `ci.sh` repeats the suite at `GRAPE6_THREADS=1`
+//! and `=2`.)
 //!
 //! This is the §3.4 reproducibility property extended to the execution
 //! schedule: the block floating-point force accumulation is exact, so it
