@@ -57,6 +57,12 @@ echo "==> crossover bench smoke (release): 1-16 nodes x 3 network schedules"
 # schedule's 4-node network share beats the same run's sequential one.
 cargo run --release --locked -p grape6-bench --bin crossover_bench -- 128 0.03125
 
+echo "==> sync ablation (release): butterfly vs central barrier, 3 NICs x 4/16 hosts"
+# The paper's §4.4 ordering: exits 1 unless the central-coordinator
+# barrier is slower than the butterfly (an empty coalesced wave) on every
+# NIC x p row, both measured frame for frame on the virtual fabric.
+cargo run --release --locked -p grape6-bench --bin ablation_sync
+
 echo "==> example smoke tests (release)"
 cargo run --release --locked --example quickstart
 cargo run --release --locked --example fault_tour

@@ -3,9 +3,10 @@
 //! virtual-cluster experiments fit in a CI run).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use grape6_net::collectives::{allgather, barrier, central_barrier};
-use grape6_net::fabric::run_ranks;
+use grape6_net::exchange::{central_barrier, coalesced_wave};
+use grape6_net::fabric::{allgather, run_ranks};
 use grape6_net::link::LinkProfile;
+use grape6_net::transport::VirtualTransport;
 
 fn bench_barriers(c: &mut Criterion) {
     let mut g = c.benchmark_group("collectives");
@@ -13,9 +14,11 @@ fn bench_barriers(c: &mut Criterion) {
     for p in [4usize, 16] {
         g.bench_with_input(BenchmarkId::new("butterfly", p), &p, |b, &p| {
             b.iter(|| {
-                run_ranks::<u8, f64, _>(p, LinkProfile::intel_82540em(), |mut ep| {
-                    for _ in 0..16 {
-                        barrier(&mut ep).expect("lossless fabric");
+                run_ranks::<Vec<u8>, f64, _>(p, LinkProfile::intel_82540em(), |mut ep| {
+                    for step in 0..16 {
+                        let mut tr = VirtualTransport::new(&mut ep);
+                        coalesced_wave(&mut tr, step, 0.0, Vec::new(), &[])
+                            .expect("lossless fabric");
                     }
                     ep.clock()
                 })
@@ -23,9 +26,10 @@ fn bench_barriers(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("central", p), &p, |b, &p| {
             b.iter(|| {
-                run_ranks::<u8, f64, _>(p, LinkProfile::intel_82540em(), |mut ep| {
-                    for _ in 0..16 {
-                        central_barrier(&mut ep).expect("lossless fabric");
+                run_ranks::<Vec<u8>, f64, _>(p, LinkProfile::intel_82540em(), |mut ep| {
+                    for step in 0..16 {
+                        central_barrier(&mut VirtualTransport::new(&mut ep), step)
+                            .expect("lossless fabric");
                     }
                     ep.clock()
                 })

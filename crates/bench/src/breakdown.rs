@@ -21,8 +21,8 @@
 //!   Synchronisation and the inter-cluster exchange are genuinely
 //!   executed over the discrete-event fabric (butterfly barriers;
 //!   recursive doubling between cluster pairs with the block's
-//!   j-updates striped over the cluster's concurrent streams) and
-//!   recorded through the traced collectives.
+//!   j-updates striped over the cluster's concurrent streams), one span
+//!   per wave stage or exchange hop.
 //!
 //! Per blockstep the per-rank breakdowns are folded with an elementwise
 //! **max** — the paper's breakdown figures plot the slowest host's view —
@@ -33,8 +33,7 @@ use grape6_core::engine::Grape6Engine;
 use grape6_core::integrator::{HermiteIntegrator, IntegratorConfig};
 use grape6_model::calib::{GrapeTiming, NicProfile, BARRIER_SW_OVERHEAD};
 use grape6_model::perf::{BlockTime, MachineLayout, PerfModel};
-use grape6_net::collectives::{butterfly_barrier, traced, traced_sync};
-use grape6_net::exchange::Wave;
+use grape6_net::exchange::{Wave, WaveOutcome};
 use grape6_net::fabric::{run_ranks, Endpoint};
 use grape6_net::link::LinkProfile;
 use grape6_net::transport::VirtualTransport;
@@ -63,7 +62,7 @@ pub fn timing_for(cfg: &MachineConfig) -> GrapeTiming {
 }
 
 /// The fabric link equivalent of a NIC profile, chosen so one
-/// dissemination-barrier round (send overhead + one-way latency + recv
+/// barrier stage (send overhead + one-way latency + recv
 /// overhead) costs exactly `rtt + BARRIER_SW_OVERHEAD` — the stage cost
 /// the analytic `butterfly_barrier` charges.
 pub fn nic_link(nic: &NicProfile) -> LinkProfile {
@@ -128,8 +127,9 @@ pub fn measure_breakdown(
 }
 
 /// [`measure_breakdown`] under an explicit network schedule.  Sequential
-/// runs the PR 5 collectives (agreement barrier / commit barrier /
-/// exchange / post barrier); the coalesced schedules run one
+/// runs the three-collective schedule (agreement barrier / commit
+/// barrier / exchange / post barrier, each barrier an empty [`Wave`]);
+/// the coalesced schedules run one
 /// [`Wave`] per blockstep instead, split-phase when overlapped.  The
 /// integrator state is bit-identical across schedules by construction
 /// (every rank advances a full replicated copy); only the network terms
@@ -254,13 +254,104 @@ fn stamp(tracer: &mut Tracer, vt: &mut f64, phase: Phase, dur: f64, items: u64, 
     *vt = t1;
 }
 
+/// Run `hop` on the fabric and record it as one `phase` span whose
+/// counters carry the frames and bytes this rank sent and the
+/// retransmits it saw; `counters` supplies the rest of the tags.
+fn traced_hop(
+    ep: &mut Endpoint<Vec<u8>>,
+    tracer: &mut Tracer,
+    phase: Phase,
+    counters: SpanCounters,
+    hop: impl FnOnce(&mut Endpoint<Vec<u8>>),
+) {
+    let (t0, s0) = (ep.clock(), ep.stats());
+    hop(ep);
+    let s1 = ep.stats();
+    tracer.record(Span {
+        phase,
+        t0,
+        t1: ep.clock(),
+        track: 0,
+        counters: SpanCounters {
+            items: s1.messages_sent - s0.messages_sent,
+            bytes: s1.bytes_sent - s0.bytes_sent,
+            retries: s1.retransmits - s0.retransmits,
+            ..counters
+        },
+    });
+}
+
+/// The breakdown term of wave stage `k`: stages below `intra` pair hosts
+/// inside a cluster (sync), the rest pair clusters (exchange).
+fn stage_phase(k: u32, intra: u32) -> Phase {
+    if k < intra {
+        Phase::Sync
+    } else {
+        Phase::Exchange
+    }
+}
+
+/// The span tags of a wave stage: sentinel + min records, and the
+/// pattern that ran.
+fn stage_counters(algo: BarrierAlgo) -> SpanCounters {
+    SpanCounters {
+        records: 2,
+        algo: Some(algo),
+        ..Default::default()
+    }
+}
+
+/// Run the stages of `w` not yet folded — finishing a posted one first —
+/// each recorded as one span of its [`stage_phase`].  `pads[k]` is stage
+/// `k`'s synthetic pad.  Both schedules come through here: the coalesced
+/// wave, and the sequential schedule's barriers (empty waves, every stage
+/// sync).
+fn run_wave(
+    ep: &mut Endpoint<Vec<u8>>,
+    tracer: &mut Tracer,
+    mut w: Wave,
+    intra: u32,
+    pads: &[u64],
+    algo: BarrierAlgo,
+) -> WaveOutcome {
+    while !w.is_complete() {
+        let k = w.stages_done();
+        traced_hop(
+            ep,
+            tracer,
+            stage_phase(k, intra),
+            stage_counters(algo),
+            |ep| {
+                let mut tr = VirtualTransport::new(ep);
+                if w.pending_partner().is_none() {
+                    let pad = pads.get(k as usize).copied().unwrap_or(0);
+                    w.post_stage(&mut tr, pad).expect("lossless fabric");
+                }
+                w.finish_stage(&mut tr).expect("lossless fabric");
+            },
+        );
+    }
+    w.outcome()
+}
+
+/// A barrier: an empty wave, every stage on the sync term.
+fn barrier(ep: &mut Endpoint<Vec<u8>>, tracer: &mut Tracer, step: u64, algo: BarrierAlgo) {
+    let w = Wave::new(ep.rank(), ep.n_ranks(), step, 0.0, Vec::new());
+    run_wave(ep, tracer, w, u32::MAX, &[], algo);
+}
+
 /// Recursive-doubling exchange of the block's j-updates between cluster
 /// pairs (§4.3's copy algorithm over the Ethernet).  Stage `k` pairs
-/// cluster `ci` with `ci XOR 2^k`; the accumulated updates are striped
-/// over the cluster's `streams` concurrently-receiving hosts, so only
-/// ranks with in-cluster index below `streams` touch the wire.
+/// cluster `ci` with `ci XOR 2^k`, one [`Phase::Exchange`] span per stage;
+/// the accumulated updates are striped over the cluster's `streams`
+/// concurrently-receiving hosts ([`wave_pads`]), so only ranks with
+/// in-cluster index below `streams` carry payload.  The others exchange
+/// a 1-byte sentinel so every clock rides the same stage pattern (their
+/// share of the data reaches them over the cluster's hardware network,
+/// not the Ethernet).
 fn exchange_blocks(
     ep: &mut Endpoint<Vec<u8>>,
+    tracer: &mut Tracer,
     clusters: usize,
     hosts_per_cluster: usize,
     streams: usize,
@@ -269,24 +360,17 @@ fn exchange_blocks(
     let ci = ep.rank() / hosts_per_cluster;
     let hi = ep.rank() % hosts_per_cluster;
     let stages = (clusters as f64).log2().ceil() as u32;
-    let per_cluster = block_bytes / clusters as f64;
-    for k in 0..stages {
+    let pads = wave_pads(stages, 0, hi, streams, block_bytes / clusters as f64);
+    for (k, pad) in pads.into_iter().enumerate() {
         let partner_cluster = ci ^ (1usize << k);
         if partner_cluster >= clusters {
             continue;
         }
         let partner = partner_cluster * hosts_per_cluster + hi;
-        // Only `streams` hosts per cluster sustain full-rate payload; the
-        // others exchange a sentinel so every clock rides the same stage
-        // pattern (their share of the data reaches them over the
-        // cluster's hardware network, not the Ethernet).
-        let wire = if hi < streams {
-            (per_cluster * (1u64 << k) as f64 / streams as f64).ceil() as usize
-        } else {
-            1
-        };
-        ep.send(partner, Vec::new(), wire.max(1));
-        ep.recv_checked(partner).expect("lossless fabric");
+        traced_hop(ep, tracer, Phase::Exchange, SpanCounters::default(), |ep| {
+            ep.send_lossy(partner, Vec::new(), (pad as usize).max(1));
+            ep.recv_checked(partner).expect("lossless fabric");
+        });
     }
 }
 
@@ -294,8 +378,8 @@ fn exchange_blocks(
 /// stages are sentinel-only (the hardware network moves the j-data, as in
 /// the sequential schedule); each inter-cluster stage `kk` forwards the
 /// recursively-doubled accumulation, striped over the cluster's
-/// concurrent streams — the same bytes [`exchange_blocks`] puts on the
-/// wire, coalesced into the wave's frames.
+/// concurrent streams.  The sequential schedule's [`exchange_blocks`]
+/// puts the same bytes on the wire as separate messages.
 fn wave_pads(n_stages: u32, intra: u32, hi: usize, streams: usize, per_cluster: f64) -> Vec<u64> {
     let mut pads = vec![0u64; n_stages as usize];
     for kk in 0..n_stages.saturating_sub(intra) {
@@ -361,7 +445,7 @@ fn measure_ranks(
             // already all-reduced the next block time, which *is* the
             // agreement (that is one of the collectives it absorbs).
             if !sched.coalesced() {
-                traced_sync(&mut ep, butterfly_barrier).expect("lossless fabric");
+                barrier(&mut ep, &mut tracer, stepno, algo);
             }
             let (_, n_b) = it.step();
             let pass_cycles = it.engine().hardware().last_pass_cycles();
@@ -403,33 +487,13 @@ fn measure_ranks(
             // charging the step's compute, so its latency hides behind
             // the force pass — the message sequence (and therefore the
             // folded state) is identical to the back-to-back wave.
-            let mut posted = false;
             if let Some((w, intra, pads)) = wave.as_mut() {
                 if sched.overlapped() && w.n_stages() > 0 {
-                    let t0 = ep.clock();
-                    let b0 = ep.stats().bytes_sent;
-                    {
-                        let mut tr = VirtualTransport::new(&mut ep);
+                    let phase = stage_phase(0, *intra);
+                    traced_hop(&mut ep, &mut tracer, phase, stage_counters(algo), |ep| {
+                        let mut tr = VirtualTransport::new(ep);
                         w.post_stage(&mut tr, pads[0]).expect("lossless fabric");
-                    }
-                    tracer.record(Span {
-                        phase: if *intra > 0 {
-                            Phase::Sync
-                        } else {
-                            Phase::Exchange
-                        },
-                        t0,
-                        t1: ep.clock(),
-                        track: 0,
-                        counters: SpanCounters {
-                            items: 1,
-                            bytes: ep.stats().bytes_sent - b0,
-                            records: 2,
-                            algo: Some(algo),
-                            ..Default::default()
-                        },
                     });
-                    posted = true;
                 }
             }
             // Stamp the share's host + hardware time at the fabric clock.
@@ -495,60 +559,29 @@ fn measure_ranks(
                 0,
             );
             ep.advance_to(vt);
-            if let Some((mut w, intra, pads)) = wave.take() {
+            if let Some((w, intra, pads)) = wave.take() {
                 // Finish the posted stage (its frame arrived during the
-                // compute) and run the rest, each attributed to the sync
-                // or exchange term by its pairing topology.
-                for k in 0..w.n_stages() {
-                    let phase = if k < intra {
-                        Phase::Sync
-                    } else {
-                        Phase::Exchange
-                    };
-                    let t0 = ep.clock();
-                    let b0 = ep.stats().bytes_sent;
-                    {
-                        let mut tr = VirtualTransport::new(&mut ep);
-                        if k > 0 || !posted {
-                            w.post_stage(&mut tr, pads[k as usize])
-                                .expect("lossless fabric");
-                        }
-                        w.finish_stage(&mut tr).expect("lossless fabric");
-                    }
-                    tracer.record(Span {
-                        phase,
-                        t0,
-                        t1: ep.clock(),
-                        track: 0,
-                        counters: SpanCounters {
-                            items: 1,
-                            bytes: ep.stats().bytes_sent - b0,
-                            records: 2,
-                            algo: Some(algo),
-                            ..Default::default()
-                        },
-                    });
-                }
-                // Replicated copies agree on the next block time: the
-                // all-reduced minimum is this rank's own candidate.
-                let out = w.outcome();
+                // compute) and run the rest.  Replicated copies agree on
+                // the next block time: the all-reduced minimum is this
+                // rank's own candidate.
+                let out = run_wave(&mut ep, &mut tracer, w, intra, &pads, algo);
                 debug_assert_eq!(out.t_min, it.time());
             } else {
                 // Commit barrier.
-                traced_sync(&mut ep, butterfly_barrier).expect("lossless fabric");
+                barrier(&mut ep, &mut tracer, stepno, algo);
                 if clusters > 1 {
-                    traced(&mut ep, Phase::Exchange, |ep| {
-                        exchange_blocks(
-                            ep,
-                            clusters,
-                            hosts_per_cluster,
-                            streams,
-                            n_b as f64 * j_bytes,
-                        )
-                    });
+                    let block_bytes = n_b as f64 * j_bytes;
+                    exchange_blocks(
+                        &mut ep,
+                        &mut tracer,
+                        clusters,
+                        hosts_per_cluster,
+                        streams,
+                        block_bytes,
+                    );
                     // The post-exchange barrier is the extra round the paper
                     // blames for the multi-cluster sync overhead (§4.4).
-                    traced_sync(&mut ep, butterfly_barrier).expect("lossless fabric");
+                    barrier(&mut ep, &mut tracer, stepno, algo);
                 }
             }
             stepno += 1;
@@ -708,6 +741,44 @@ mod tests {
             assert_eq!(s.counters.algo, Some(BarrierAlgo::Butterfly));
             assert_eq!(s.counters.records, 2);
             assert!(s.counters.bytes > 0);
+        }
+    }
+
+    #[test]
+    fn barrier_stage_spans_nest_their_send_recv_subspans() {
+        // Sequential schedule on 4 hosts: every barrier is an empty wave,
+        // recorded one Sync span per butterfly stage — and each stage span
+        // holds exactly the one Send and one Recv it is made of.
+        let (model, machine) = small_model();
+        let layout = MachineLayout::Cluster { hosts: 4 };
+        let run = measure_breakdown(&model, &machine, layout, 48, 0.0625, 46);
+        for (rank, spans) in &run.streams {
+            let syncs: Vec<&Span> = spans.iter().filter(|s| s.phase == Phase::Sync).collect();
+            // Two barriers per blockstep, ⌈log₂ 4⌉ = 2 stages each.
+            assert_eq!(syncs.len(), 4 * run.blocksteps, "{rank}");
+            let inside = |sub: &Span, s: &Span| sub.t0 >= s.t0 - 1e-15 && sub.t1 <= s.t1 + 1e-15;
+            for sync in &syncs {
+                assert!(sync.dur() > 0.0, "{rank}");
+                assert_eq!(sync.counters.items, 1, "{rank}: one frame per stage");
+                assert_eq!(sync.counters.algo, Some(BarrierAlgo::Butterfly), "{rank}");
+                for phase in [Phase::Send, Phase::Recv] {
+                    let n = spans
+                        .iter()
+                        .filter(|sub| sub.phase == phase && inside(sub, sync))
+                        .count();
+                    assert_eq!(n, 1, "{rank}: {phase:?} sub-spans in one stage");
+                }
+            }
+            for sub in spans
+                .iter()
+                .filter(|s| matches!(s.phase, Phase::Send | Phase::Recv))
+            {
+                assert!(
+                    syncs.iter().any(|s| inside(sub, s)),
+                    "{rank}: {:?} sub-span outside every stage",
+                    sub.phase
+                );
+            }
         }
     }
 

@@ -251,7 +251,10 @@ pub fn farm_net_run(cfg: &FarmNetConfig) -> FarmNetOutcome {
     };
     let server_pid = server.id();
 
-    // The victim: submits one long job, then hangs until murdered.
+    // The victim: submits one long job, then hangs until murdered.  The
+    // job must outlast the run-up to the kill on any engine speed (at 16
+    // time units it sometimes completed first, leaving nothing to detach);
+    // once detached it is never scheduled again, so its length is free.
     let victim_seed = mix(cfg.seed, 0xdead, 0, 0, 0);
     let mut victim = match spawn(
         &cfg.client_bin,
@@ -259,7 +262,7 @@ pub fn farm_net_run(cfg: &FarmNetConfig) -> FarmNetOutcome {
             "--mode=hang".into(),
             format!("--seed={victim_seed}"),
             format!("--n={}", cfg.n),
-            "--t-end=16.0".into(),
+            "--t-end=4096.0".into(),
         ]),
     ) {
         Ok(c) => c,

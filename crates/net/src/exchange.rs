@@ -16,6 +16,12 @@
 //! min and the j-records ([`Frame::Stage`]), does the work of all three
 //! collectives at a third of the message count.
 //!
+//! A plain barrier is the same wave with nothing in it: an empty
+//! [`coalesced_wave`] is the paper's §4.4 butterfly (dissemination for
+//! non-power-of-two `p`), ⌈log₂ p⌉ frames per rank, on any
+//! [`Transport`].  [`central_barrier`] is the MPICH-shaped comparator
+//! it is measured against, on the same backends.
+//!
 //! ## Split-phase overlap
 //!
 //! [`Wave`] is a stage-stepped state machine: [`Wave::post_stage`] only
@@ -330,12 +336,86 @@ pub fn coalesced_wave<T: Transport>(
     Ok(w.outcome())
 }
 
+/// Central-coordinator barrier over any [`Transport`]: every rank reports
+/// to rank 0 with a stage-0 frame, and rank 0 releases everyone with a
+/// stage-1 frame once all p − 1 reports are in — 2(p − 1) serialised
+/// frames at the coordinator.  This is the shape of MPICH/p4's barrier,
+/// which the paper found "about two times" slower than its hand-rolled
+/// butterfly (§4.4); it is kept as the comparator for the empty [`Wave`],
+/// frame against frame on the same backend.  The outcome is tagged
+/// [`BarrierAlgo::Central`] and counts the frames this rank sent.
+pub fn central_barrier<T: Transport>(tr: &mut T, step: u64) -> Result<WaveOutcome, TransportError> {
+    let mut out = WaveOutcome {
+        t_min: 0.0,
+        ckpt_min: 0,
+        algo: BarrierAlgo::Central,
+        merged: Vec::new(),
+        messages: 0,
+        records: 0,
+        bytes: 0,
+    };
+    let mut send = |tr: &mut T, to: usize, stage: u32| {
+        let frame = Frame::Stage {
+            gen: 0,
+            step,
+            stage,
+            t_min: 0.0,
+            ckpt: 0,
+            records: Vec::new(),
+            pad: 0,
+        };
+        out.messages += 1;
+        out.records += frame.logical_records();
+        out.bytes += frame.wire_len() as u64;
+        tr.send_frame(to, &frame)
+    };
+    let recv = |tr: &mut T, from: usize, stage: u32| match tr.recv_frame(from)? {
+        Frame::Stage {
+            step: s, stage: k, ..
+        } if s == step && k == stage => Ok(()),
+        _ => Err(TransportError::Protocol(
+            "central barrier: unexpected frame",
+        )),
+    };
+    let p = tr.n_ranks();
+    if tr.rank() == 0 {
+        for from in 1..p {
+            recv(tr, from, 0)?;
+        }
+        for to in 1..p {
+            send(tr, to, 1)?;
+        }
+    } else {
+        send(tr, 0, 0)?;
+        recv(tr, 0, 1)?;
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::run_ranks;
     use crate::link::LinkProfile;
     use crate::transport::VirtualTransport;
+
+    /// Wire bytes of an empty stage frame (the encoded header, no pad).
+    const EMPTY_STAGE_BYTES: u64 = 52;
+
+    /// A barrier is an empty wave.
+    fn barrier<T: Transport>(tr: &mut T) -> WaveOutcome {
+        coalesced_wave(tr, 0, 0.0, Vec::new(), &[]).expect("lossless fabric")
+    }
+
+    /// Slowest clock across ranks.
+    fn slowest(clocks: &[f64]) -> f64 {
+        clocks.iter().cloned().fold(0.0, f64::max)
+    }
+
+    /// Spread of the clocks across ranks.
+    fn spread(clocks: &[f64]) -> f64 {
+        slowest(clocks) - clocks.iter().cloned().fold(f64::INFINITY, f64::min)
+    }
 
     fn rec(index: u64, word: f64) -> JRecord {
         JRecord {
@@ -678,6 +758,219 @@ mod tests {
                     "stage frame from a different blockstep"
                 ))
             );
+        }
+    }
+
+    #[test]
+    fn empty_wave_synchronises_clocks_at_logarithmic_cost() {
+        let link = LinkProfile {
+            latency: 50.0e-6,
+            bandwidth: 1.0e8,
+            overhead: 10.0e-6,
+        };
+        for p in [2usize, 3, 4, 7, 8, 16] {
+            let out = run_ranks::<Vec<u8>, (WaveOutcome, f64), _>(p, link, |mut ep| {
+                // Rank r pretends to compute r milliseconds.
+                ep.advance(ep.rank() as f64 * 1e-3);
+                let o = barrier(&mut VirtualTransport::new(&mut ep));
+                (o, ep.clock())
+            });
+            let entry = (p - 1) as f64 * 1e-3;
+            let stages = (p - 1).ilog2() + 1;
+            let budget = entry + 10.0 * f64::from(stages) * (link.latency + link.overhead);
+            for (r, (o, c)) in out.iter().enumerate() {
+                assert!(
+                    *c >= entry,
+                    "p={p} rank {r}: clock {c} below the slowest entry"
+                );
+                assert!(
+                    *c <= budget,
+                    "p={p} rank {r}: clock {c} over budget {budget}"
+                );
+                // One empty frame per stage, nothing more.
+                assert_eq!(o.messages, u64::from(stages), "p={p} rank {r}");
+                assert_eq!(o.bytes, o.messages * EMPTY_STAGE_BYTES, "p={p} rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn butterfly_wave_aligns_clocks_for_power_of_two() {
+        let link = LinkProfile {
+            latency: 50.0e-6,
+            bandwidth: 1.0e8,
+            overhead: 10.0e-6,
+        };
+        let run = |p: usize, skew: f64| {
+            run_ranks::<Vec<u8>, (BarrierAlgo, f64), _>(p, link, move |mut ep| {
+                ep.advance(ep.rank() as f64 * skew);
+                let o = barrier(&mut VirtualTransport::new(&mut ep));
+                (o.algo, ep.clock())
+            })
+        };
+        for p in [2usize, 4, 8, 16] {
+            // Aligned entries leave exactly aligned: the two sides of every
+            // pair exchange frames and leave the stage at the same time.
+            let out = run(p, 0.0);
+            let clocks: Vec<f64> = out.iter().map(|o| o.1).collect();
+            assert!(out.iter().all(|o| o.0 == BarrierAlgo::Butterfly), "p={p}");
+            assert!(
+                spread(&clocks) < 1e-12,
+                "p={p}: exits spread {}",
+                spread(&clocks)
+            );
+            // Entries skewed by less than a link round leave with no more
+            // spread than they came in with (the pairwise exchange permutes
+            // the skew instead of chaining it).
+            let skew = 1e-6 / p as f64;
+            let clocks: Vec<f64> = run(p, skew).iter().map(|o| o.1).collect();
+            assert!(
+                spread(&clocks) <= 1e-6 + 1e-12,
+                "p={p}: butterfly grew the entry spread to {} s",
+                spread(&clocks)
+            );
+        }
+        // A non-power-of-two p falls back to dissemination, still
+        // synchronises, and reports the fallback.
+        for (algo, c) in run(6, 1e-6) {
+            assert_eq!(algo, BarrierAlgo::Dissemination);
+            assert!(c >= 5e-6);
+        }
+    }
+
+    #[test]
+    fn empty_wave_cost_scales_logarithmically() {
+        let link = LinkProfile {
+            latency: 100.0e-6,
+            bandwidth: f64::INFINITY,
+            overhead: 0.0,
+        };
+        let cost = |p: usize| {
+            slowest(&run_ranks::<Vec<u8>, f64, _>(p, link, |mut ep| {
+                barrier(&mut VirtualTransport::new(&mut ep));
+                ep.clock()
+            }))
+        };
+        let (c2, c16) = (cost(2), cost(16));
+        assert!(c2 > 0.0);
+        // 16 ranks: 4 stages vs 1 — ratio ≈ 4, certainly < 8.
+        assert!(c16 / c2 > 2.0 && c16 / c2 < 8.0, "ratio {}", c16 / c2);
+    }
+
+    #[test]
+    fn central_barrier_synchronises_but_costs_linear() {
+        // A realistic link: the per-message CPU overhead is what makes the
+        // coordinator serialise (with a zero-overhead link a 2-hop central
+        // barrier would actually win — the butterfly exists precisely
+        // because messages cost CPU).
+        let link = LinkProfile {
+            latency: 100.0e-6,
+            bandwidth: 60.0e6,
+            overhead: 20.0e-6,
+        };
+        let p = 16;
+        let run = |central: bool| {
+            run_ranks::<Vec<u8>, (WaveOutcome, f64), _>(p, link, move |mut ep| {
+                ep.advance(ep.rank() as f64 * 1e-6);
+                let mut tr = VirtualTransport::new(&mut ep);
+                let o = if central {
+                    central_barrier(&mut tr, 0).expect("lossless fabric")
+                } else {
+                    barrier(&mut tr)
+                };
+                (o, ep.clock())
+            })
+        };
+        let central = run(true);
+        for (r, (o, c)) in central.iter().enumerate() {
+            assert_eq!(o.algo, BarrierAlgo::Central);
+            assert!(
+                *c >= (p - 1) as f64 * 1e-6,
+                "rank {r} left before the last entry"
+            );
+            // The root releases p − 1 ranks; everyone else reports once.
+            let want = if r == 0 { p as u64 - 1 } else { 1 };
+            assert_eq!(o.messages, want, "rank {r}");
+        }
+        let clocks = |out: &[(WaveOutcome, f64)]| out.iter().map(|o| o.1).collect::<Vec<_>>();
+        let c_central = slowest(&clocks(&central));
+        let c_butterfly = slowest(&clocks(&run(false)));
+        assert!(
+            c_central > 1.4 * c_butterfly,
+            "central {c_central} vs butterfly {c_butterfly}"
+        );
+    }
+
+    /// A transport that logs the peer of every frame it moves, so two
+    /// backends can be compared hop by hop.
+    struct Logged<T> {
+        inner: T,
+        /// `(sent, peer)`: `true` for a send to `peer`, `false` for a
+        /// receive from it.
+        hops: Vec<(bool, usize)>,
+    }
+
+    impl<T: Transport> Transport for Logged<T> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn n_ranks(&self) -> usize {
+            self.inner.n_ranks()
+        }
+        fn send_frame(&mut self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+            self.hops.push((true, to));
+            self.inner.send_frame(to, frame)
+        }
+        fn recv_frame(&mut self, from: usize) -> Result<Frame, TransportError> {
+            self.hops.push((false, from));
+            self.inner.recv_frame(from)
+        }
+    }
+
+    /// An empty wave then a central barrier: both outcomes and every hop.
+    type BarrierTrace = (WaveOutcome, WaveOutcome, Vec<(bool, usize)>);
+
+    fn both_barriers<T: Transport>(inner: T) -> BarrierTrace {
+        let mut tr = Logged {
+            inner,
+            hops: Vec::new(),
+        };
+        let wave = barrier(&mut tr);
+        let central = central_barrier(&mut tr, 1).expect("central barrier");
+        (wave, central, tr.hops)
+    }
+
+    #[test]
+    fn barriers_send_the_same_frames_over_uds_as_over_the_virtual_fabric() {
+        use crate::transport::{StreamKind, StreamTransport};
+        let p = 4;
+        let virt = run_ranks::<Vec<u8>, BarrierTrace, _>(p, LinkProfile::ideal(), |mut ep| {
+            both_barriers(VirtualTransport::new(&mut ep))
+        });
+        let dir = std::env::temp_dir().join(format!("g6-barrier-uds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let uds: Vec<BarrierTrace> = (0..p)
+            .map(|r| {
+                let dir = dir.clone();
+                std::thread::spawn(move || {
+                    let tr =
+                        StreamTransport::connect(r, p, &dir, StreamKind::Uds).expect("rendezvous");
+                    both_barriers(tr)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(uds, virt, "same code, same traffic, any backend");
+        for (r, (wave, central, _)) in virt.iter().enumerate() {
+            assert_eq!(
+                (wave.algo, wave.messages),
+                (BarrierAlgo::Butterfly, 2),
+                "rank {r}"
+            );
+            assert_eq!(central.algo, BarrierAlgo::Central, "rank {r}");
         }
     }
 }

@@ -242,8 +242,8 @@ impl<T: Send> Endpoint<T> {
 
     /// Install a span sink; with [`Tracer::enabled`] every send, receive
     /// and backoff is recorded as a sub-span on this rank's virtual
-    /// timeline (collective-level spans are recorded by
-    /// [`crate::collectives::traced`] on top of these).
+    /// timeline (the caller records collective-level spans on top of
+    /// these).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -272,18 +272,12 @@ impl<T: Send> Endpoint<T> {
 
     /// Send `payload` to `to`, accounting `wire_bytes` on the wire.
     /// Non-blocking (unbounded channel), charges the send-side overhead.
-    pub fn send(&mut self, to: usize, payload: T, wire_bytes: usize) {
-        if !self.send_lossy(to, payload, wire_bytes) {
-            panic!("peer endpoint dropped while fabric in use");
-        }
-    }
-
-    /// [`Self::send`] that tolerates a departed peer: if `to` has dropped
-    /// its endpoint (the rank died), the payload is silently discarded and
-    /// `false` is returned.  The send-side cost is charged either way —
-    /// the sender cannot know the peer is gone until the NIC has done its
-    /// work.  This is the failover-safe send: survivors keep talking to a
-    /// rank nobody has declared dead yet without risking a panic.
+    /// A departed peer does not fail the send: if `to` has dropped its
+    /// endpoint (the rank died), the payload is discarded and `false` is
+    /// returned, and the departure surfaces as [`RecvError::Down`] at the
+    /// matching [`Self::recv_checked`].  The send-side cost is charged
+    /// either way — the sender cannot know the peer is gone until the NIC
+    /// has done its work.
     pub fn send_lossy(&mut self, to: usize, payload: T, wire_bytes: usize) -> bool {
         assert!(to != self.rank, "self-send is not a network operation");
         let t0 = self.clock;
@@ -482,6 +476,34 @@ where
     })
 }
 
+/// Ring all-gather: every rank contributes `mine` and gets back the
+/// contributions of all ranks, indexed by rank.  `bytes` is the wire size
+/// of one contribution; p − 1 shifts to the right neighbour, each charged
+/// at the link's bandwidth.  A dead or lossy link surfaces as the typed
+/// [`RecvError`] of the receive that observed it.
+pub fn allgather<T: Send + Clone>(
+    ep: &mut Endpoint<T>,
+    mine: T,
+    bytes: usize,
+) -> Result<Vec<T>, RecvError> {
+    let p = ep.n_ranks();
+    let me = ep.rank();
+    let right = (me + 1) % p;
+    let left = (me + p - 1) % p;
+    // Forward the piece received last round.  Pieces arrive in descending
+    // source order (me, me−1, …, me−p+1 mod p); reversing and rotating
+    // yields the rank-indexed layout without `Option` holes.
+    let mut out: Vec<T> = Vec::with_capacity(p);
+    out.push(mine);
+    for round in 0..p - 1 {
+        ep.send_lossy(right, out[round].clone(), bytes);
+        out.push(ep.recv_checked(left)?);
+    }
+    out.reverse();
+    out.rotate_right((me + 1) % p);
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,13 +517,13 @@ mod tests {
         };
         let clocks = run_ranks::<u64, f64, _>(2, link, |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, 42, 1000);
+                ep.send_lossy(1, 42, 1000);
                 let x = ep.recv_checked(1).unwrap();
                 assert_eq!(x, 43);
             } else {
                 let x = ep.recv_checked(0).unwrap();
                 assert_eq!(x, 42);
-                ep.send(0, x + 1, 1000);
+                ep.send_lossy(0, x + 1, 1000);
             }
             ep.clock()
         });
@@ -518,7 +540,7 @@ mod tests {
         let link = LinkProfile::ideal();
         let clocks = run_ranks::<(), f64, _>(2, link, |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, (), 0);
+                ep.send_lossy(1, (), 0);
             } else {
                 ep.advance(5.0); // busy long past the message arrival
                 ep.recv_checked(0).unwrap();
@@ -545,8 +567,8 @@ mod tests {
     fn byte_and_message_accounting() {
         let stats = run_ranks::<u8, (u64, u64), _>(2, LinkProfile::ideal(), |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, 1, 100);
-                ep.send(1, 2, 200);
+                ep.send_lossy(1, 1, 100);
+                ep.send_lossy(1, 2, 200);
             } else {
                 ep.recv_checked(0).unwrap();
                 ep.recv_checked(0).unwrap();
@@ -562,12 +584,12 @@ mod tests {
         let order = run_ranks::<usize, Vec<usize>, _>(3, LinkProfile::ideal(), |mut ep| {
             match ep.rank() {
                 0 => {
-                    ep.send(2, 10, 8);
-                    ep.send(2, 11, 8);
+                    ep.send_lossy(2, 10, 8);
+                    ep.send_lossy(2, 11, 8);
                     vec![]
                 }
                 1 => {
-                    ep.send(2, 20, 8);
+                    ep.send_lossy(2, 20, 8);
                     vec![]
                 }
                 _ => {
@@ -603,7 +625,7 @@ mod tests {
     #[should_panic] // the rank thread panics on the self-send assert
     fn self_send_rejected() {
         run_ranks::<(), (), _>(1, LinkProfile::ideal(), |mut ep| {
-            ep.send(0, (), 0);
+            ep.send_lossy(0, (), 0);
         });
     }
 
@@ -617,11 +639,11 @@ mod tests {
         let round = |plan: NetFaultPlan| {
             run_ranks_faulty::<u64, f64, _>(2, link, plan, |mut ep| {
                 if ep.rank() == 0 {
-                    ep.send(1, 42, 1000);
+                    ep.send_lossy(1, 42, 1000);
                     ep.recv_checked(1).unwrap();
                 } else {
                     let x = ep.recv_checked(0).unwrap();
-                    ep.send(0, x + 1, 1000);
+                    ep.send_lossy(0, x + 1, 1000);
                 }
                 ep.clock()
             })
@@ -647,7 +669,7 @@ mod tests {
             run_ranks_faulty::<u64, (f64, EndpointStats), _>(2, link, plan, |mut ep| {
                 if ep.rank() == 0 {
                     for k in 0..200 {
-                        ep.send(1, k, 1000);
+                        ep.send_lossy(1, k, 1000);
                     }
                 } else {
                     for k in 0..200 {
@@ -668,7 +690,7 @@ mod tests {
         let clean = run_ranks::<u64, f64, _>(2, link, |mut ep| {
             if ep.rank() == 0 {
                 for k in 0..200 {
-                    ep.send(1, k, 1000);
+                    ep.send_lossy(1, k, 1000);
                 }
             } else {
                 for _ in 0..200 {
@@ -691,7 +713,7 @@ mod tests {
         let link = LinkProfile::ideal();
         let out = run_ranks_faulty::<u8, Option<RecvError>, _>(2, link, plan, |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, 9, 64);
+                ep.send_lossy(1, 9, 64);
                 None
             } else {
                 let err = ep.recv_checked(0).unwrap_err();
@@ -715,7 +737,7 @@ mod tests {
     fn departed_peer_surfaces_as_recv_error_down() {
         let out = run_ranks::<u8, Option<RecvError>, _>(2, LinkProfile::ideal(), |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, 5, 8);
+                ep.send_lossy(1, 5, 8);
                 None // exits; its endpoint drops
             } else {
                 // The buffered message arrives first (FIFO drains)…
@@ -729,5 +751,73 @@ mod tests {
             out[1].unwrap().to_string(),
             "rank 0 is down (observed by rank 1)"
         );
+    }
+
+    #[test]
+    fn allgather_returns_rank_indexed_in_p_minus_one_sends() {
+        for p in [1usize, 2, 3, 4, 5, 6, 7, 8] {
+            let out =
+                run_ranks::<usize, (Vec<usize>, u64, u64), _>(p, LinkProfile::ideal(), |mut ep| {
+                    let mine = ep.rank() * 10;
+                    let all = allgather(&mut ep, mine, 8).unwrap();
+                    (all, ep.messages_sent(), ep.bytes_sent())
+                });
+            for (r, (all, messages, bytes)) in out.into_iter().enumerate() {
+                assert_eq!(all, (0..p).map(|k| k * 10).collect::<Vec<_>>(), "p={p}");
+                // Ring: p − 1 shifts of one contribution each.
+                assert_eq!(messages, (p - 1) as u64, "p={p} rank {r}");
+                assert_eq!(bytes, 8 * (p - 1) as u64, "p={p} rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn allgather_charges_bandwidth() {
+        // With a slow link, the ring must cost ≥ (p−1)·bytes/bw.
+        let link = LinkProfile {
+            latency: 0.0,
+            bandwidth: 1.0e6,
+            overhead: 0.0,
+        };
+        let bytes = 100_000; // 0.1 s per hop
+        let clocks = run_ranks::<u8, f64, _>(4, link, move |mut ep| {
+            allgather(&mut ep, 0, bytes).unwrap();
+            ep.clock()
+        });
+        for &c in &clocks {
+            assert!(c >= 0.3 - 1e-9, "clock {c} below ring lower bound");
+            assert!(c < 0.5, "clock {c} above plausible ring cost");
+        }
+    }
+
+    #[test]
+    fn allgather_over_a_dead_or_lossy_link_is_a_typed_error() {
+        // Rank 1 dies: the ring through it is severed, and every survivor
+        // observes a Down at its own receive — never a panic.
+        let out = run_ranks::<f64, Option<RecvError>, _>(3, LinkProfile::ideal(), |mut ep| {
+            if ep.rank() == 1 {
+                return None;
+            }
+            let mine = ep.rank() as f64;
+            Some(allgather(&mut ep, mine, 8).unwrap_err())
+        });
+        for (r, e) in out.iter().enumerate() {
+            let Some(e) = e else { continue };
+            match e {
+                RecvError::Down { to, .. } => assert_eq!(*to, r),
+                other => panic!("rank {r}: expected Down, got {other:?}"),
+            }
+        }
+        // 100% drop, 2-attempt budget: the first shift times out as Lost.
+        let plan = NetFaultPlan::lossy(9, 1000, 2, 1e-4);
+        let errs = run_ranks_faulty::<u8, RecvError, _>(2, LinkProfile::ideal(), plan, |mut ep| {
+            allgather(&mut ep, 0, 8).unwrap_err()
+        });
+        for (r, e) in errs.iter().enumerate() {
+            match e {
+                RecvError::Lost(le) => assert_eq!((le.to, le.attempts), (r, 2)),
+                other => panic!("rank {r}: expected Lost, got {other:?}"),
+            }
+        }
     }
 }

@@ -203,7 +203,7 @@ mod tests {
     fn endpoint_counters_roundtrip_through_checkpoint_state() {
         let states = run_ranks::<u8, bool, _>(2, LinkProfile::ideal(), |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, 1, 100);
+                ep.send_lossy(1, 1, 100);
                 ep.advance(0.5);
             } else {
                 ep.recv_checked(0).expect("lossless fabric");

@@ -17,11 +17,9 @@
 //!   *wire size*, and each receive advances the receiver's **virtual
 //!   clock** to `max(own clock, send time + transfer time)` — conservative
 //!   discrete-event simulation at rank granularity, with real payloads and
-//!   real concurrency but simulated time;
-//! * [`collectives`] — the operations the parallel N-body codes need:
-//!   dissemination barrier (the paper's "butterfly message exchange"),
-//!   binomial broadcast, ring all-gather and all-reduce, plus `_measured`
-//!   variants that return a [`collectives::CollectiveCost`] breakdown.
+//!   real concurrency but simulated time.  [`fabric::allgather`] is the
+//!   ring all-gather the particle-parallel algorithms of
+//!   `grape6-parallel` assemble their results with.
 //!
 //! The fabric can also be run *unreliable*: [`fabric::run_ranks_faulty`]
 //! applies a seeded [`grape6_fault::NetFaultPlan`] — deterministic drops,
@@ -38,14 +36,16 @@
 //!   ([`transport::StreamTransport`], ranks as OS processes) as another;
 //! * [`exchange`] — the coalesced per-blockstep [`exchange::Wave`]
 //!   (split-phase capable, so its first stage hides behind compute),
-//!   bitwise identical across schedules and backends.
+//!   bitwise identical across schedules and backends.  It is also the
+//!   one barrier: an empty wave is the paper's "butterfly message
+//!   exchange", measured against [`exchange::central_barrier`], the
+//!   MPICH/p4-shaped coordinator, on any transport.
 //!
 //! Nothing here knows about particles; `grape6-parallel` composes this
 //! fabric with the machine simulator to run the paper's parallel
 //! algorithms end to end.
 
 pub mod cluster;
-pub mod collectives;
 pub mod exchange;
 pub mod fabric;
 pub mod failover;
@@ -57,9 +57,10 @@ pub use cluster::{
     ClusterApp, ClusterConfig, ClusterError, ClusterReport, ClusterSupervisor, FaultKind,
     GroupTransport, Manifest,
 };
-pub use collectives::{CollectiveCost, CollectiveError};
-pub use exchange::{coalesced_wave, Wave, WaveOutcome};
-pub use fabric::{run_ranks, run_ranks_faulty, Endpoint, EndpointStats, LinkError, RecvError};
+pub use exchange::{central_barrier, coalesced_wave, Wave, WaveOutcome};
+pub use fabric::{
+    allgather, run_ranks, run_ranks_faulty, Endpoint, EndpointStats, LinkError, RecvError,
+};
 pub use failover::{Group, RankMonitor};
 pub use link::LinkProfile;
 pub use transport::{

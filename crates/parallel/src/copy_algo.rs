@@ -15,8 +15,7 @@
 
 use grape6_core::integrator::{HermiteIntegrator, IntegratorConfig};
 use grape6_core::stats::RunStats;
-use grape6_net::collectives::allgather;
-use grape6_net::fabric::run_ranks;
+use grape6_net::fabric::{allgather, run_ranks};
 use grape6_net::link::LinkProfile;
 use nbody_core::force::{DirectEngine, ForceEngine, ForceResult, IParticle, JParticle};
 use nbody_core::hermite::{aarseth_dt, correct, predict, HermiteState};

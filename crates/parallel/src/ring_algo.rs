@@ -14,8 +14,7 @@
 //! every block has visited every rank; a final all-gather assembles the
 //! global force vector.
 
-use grape6_net::collectives::allgather;
-use grape6_net::fabric::{run_ranks, Endpoint};
+use grape6_net::fabric::{allgather, run_ranks, Endpoint};
 use grape6_net::link::LinkProfile;
 use nbody_core::force::{pair_force, ForceResult};
 use nbody_core::Vec3;
@@ -71,7 +70,7 @@ pub fn ring_forces(
             // Forward — the last round's shift returns each block home.
             if p > 1 {
                 let bytes = block.wire_bytes();
-                ep.send(right, block, bytes);
+                ep.send_lossy(right, block, bytes);
                 block = ep.recv_checked(left).expect("lossless fabric");
             }
             let _ = round;

@@ -6,9 +6,8 @@ use grape6::core::Grape6Engine;
 use grape6::fault::{FaultConfig, FaultPlan, MachineGeometry, NetFaultPlan};
 use grape6::nbody::force::{ForceEngine, ForceResult, IParticle, JParticle};
 use grape6::nbody::Vec3;
-use grape6::net::collectives::{allgather_measured, barrier_measured};
-use grape6::net::fabric::run_ranks_faulty;
-use grape6::net::{EndpointStats, LinkProfile};
+use grape6::net::fabric::{allgather, run_ranks_faulty};
+use grape6::net::{coalesced_wave, EndpointStats, LinkProfile, VirtualTransport};
 use grape6::system::MachineConfig;
 
 fn machine() -> MachineConfig {
@@ -162,14 +161,18 @@ fn lossy_fabric_completes_collectives_with_deterministic_retries() {
     let plan = NetFaultPlan::lossy(99, 200, 32, 1e-4);
     let p = 4;
     let round = || {
-        run_ranks_faulty::<u64, (Vec<u64>, f64, EndpointStats), _>(p, link, plan, |mut ep| {
-            let me = ep.rank() as u64;
+        run_ranks_faulty::<Vec<u8>, (Vec<u64>, f64, EndpointStats), _>(p, link, plan, |mut ep| {
+            let me = (ep.rank() as u64).to_le_bytes().to_vec();
             let mut gathered = Vec::new();
-            for _ in 0..5 {
-                barrier_measured(&mut ep).expect("retry budget is generous");
-                let (all, _cost) =
-                    allgather_measured(&mut ep, me, 8).expect("retry budget is generous");
-                gathered = all;
+            for step in 0..5 {
+                let mut tr = VirtualTransport::new(&mut ep);
+                coalesced_wave(&mut tr, step, 0.0, Vec::new(), &[])
+                    .expect("retry budget is generous");
+                let all = allgather(&mut ep, me.clone(), 8).expect("retry budget is generous");
+                gathered = all
+                    .iter()
+                    .map(|b| u64::from_le_bytes(b[..].try_into().expect("8 bytes")))
+                    .collect();
             }
             (gathered, ep.clock(), ep.stats())
         })
@@ -202,7 +205,7 @@ fn dead_link_times_out_with_typed_error() {
         plan,
         |mut ep| {
             if ep.rank() == 0 {
-                ep.send(1, 77, 32);
+                ep.send_lossy(1, 77, 32);
                 None
             } else {
                 let err = match ep.recv_checked(0).unwrap_err() {

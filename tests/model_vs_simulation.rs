@@ -9,9 +9,8 @@ use grape6::model::perf::{MachineLayout, PerfModel};
 use grape6::nbody::force::DirectEngine;
 use grape6::nbody::ic::plummer::plummer_model;
 use grape6::nbody::softening::Softening;
-use grape6::net::collectives::barrier;
 use grape6::net::fabric::run_ranks;
-use grape6::net::LinkProfile;
+use grape6::net::{coalesced_wave, LinkProfile, VirtualTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,8 +64,14 @@ fn mean_block_grows_roughly_linearly_with_n() {
 #[test]
 fn butterfly_barrier_model_matches_fabric_measurement() {
     // The model charges stages·(rtt + sw); the fabric executes the real
-    // message pattern.  They must agree within a factor ~2 across NICs
-    // and rank counts (they are independent codepaths).
+    // message pattern — the true butterfly at these power-of-two p, an
+    // empty coalesced wave of 52-byte frames.  They are independent
+    // codepaths: the model charges a full round trip plus software
+    // overhead per stage where a fabric stage costs one way plus both
+    // per-message overheads, so it reads high by a fixed per-NIC ratio,
+    // the same at every p.  Measured: 1.704 (NS 83820) and 1.446 (Intel
+    // 82540EM).  The band is that range with a 10 % margin either side —
+    // a stage frame 44 bytes larger moves the ratios by 0.5 %.
     let cases = [
         (NicProfile::ns83820(), LinkProfile::ns83820()),
         (NicProfile::intel_82540em(), LinkProfile::intel_82540em()),
@@ -74,14 +79,15 @@ fn butterfly_barrier_model_matches_fabric_measurement() {
     for (nic, link) in cases {
         for p in [4usize, 16] {
             let model_t = nic.butterfly_barrier(p);
-            let clocks = run_ranks::<u8, f64, _>(p, link, |mut ep| {
-                barrier(&mut ep).expect("lossless fabric");
+            let clocks = run_ranks::<Vec<u8>, f64, _>(p, link, |mut ep| {
+                let mut tr = VirtualTransport::new(&mut ep);
+                coalesced_wave(&mut tr, 0, 0.0, Vec::new(), &[]).expect("lossless fabric");
                 ep.clock()
             });
             let measured = clocks.iter().cloned().fold(0.0, f64::max);
             let ratio = model_t / measured;
             assert!(
-                (0.5..3.0).contains(&ratio),
+                (1.3..1.9).contains(&ratio),
                 "{} p={p}: model {model_t:e} vs fabric {measured:e}",
                 nic.name
             );
