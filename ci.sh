@@ -31,11 +31,14 @@ echo "==> bitwise suites across the fan-out thread matrix"
 # is spawned), GRAPE6_THREADS=2 walks the boards / modules on the caller
 # plus one `nbody_core::fanout` worker — whatever this host's core count.
 # model_vs_simulation rides along as the overlapped schedule's virtual-time
-# gate: its spans must not depend on how many threads walk the boards.
+# gate: its spans must not depend on how many threads walk the boards.  The
+# copy-algorithm suites run each rank on its own thread, every rank's
+# engine fanning out too, so rank threads meet the busy pool and run their
+# passes on themselves — same bits either way.
 for threads in 1 2; do
   GRAPE6_THREADS=$threads cargo test -q --locked \
     --test overlap_bitwise --test cross_engine --test farm_bitwise --test fault_injection \
-    --test model_vs_simulation
+    --test model_vs_simulation --test parallel_vs_serial --test checkpoint_resume --test failover
 done
 
 echo "==> SIMD dispatch off: bitwise suite on the portable lanes"

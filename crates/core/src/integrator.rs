@@ -311,15 +311,28 @@ impl<E: ForceEngine> HermiteIntegrator<E> {
     /// mutation so far is `set_time` (re-issued on the next attempt) — so
     /// a supervisor can retry the step after repairing the engine.
     pub fn try_step(&mut self) -> Result<(f64, usize), EngineError> {
-        let t_next = self.select_and_predict();
+        self.try_step_shared(|_| true, |_, _| Ok(()))
+    }
+
+    /// [`HermiteIntegrator::try_step`] for one of several full copies (the
+    /// copy algorithm's ranks, §3.2): correct only the entries `owns`
+    /// accepts; `exchange` gets them listed in `block` and must leave every
+    /// copy's entries in `set` and `block` before the j-memory writeback.
+    pub fn try_step_shared<X: From<EngineError>>(
+        &mut self,
+        owns: impl Fn(usize) -> bool,
+        exchange: impl FnOnce(&mut ParticleSet, &mut Vec<usize>) -> Result<(), X>,
+    ) -> Result<(f64, usize), X> {
+        let t_next = self.select_and_predict(owns);
         let n_b = self.block.len();
         let passes = self.cfg.pec_iterations.max(1);
         // P(EC)ⁿ with n > 1 re-evaluates the force at the corrected state,
         // so no host work can hide behind a pass: the block goes at once.
+        // (A sharing caller may own none of the block.)
         let width = if self.cfg.overlap && passes == 1 {
             grape6_system::unit::I_PARALLELISM
         } else {
-            n_b
+            n_b.max(1)
         };
         // 3. Engine force evaluation at the block time.
         self.engine.set_time(t_next);
@@ -359,7 +372,7 @@ impl<E: ForceEngine> HermiteIntegrator<E> {
                 tail = end - start;
             }
         }
-        // 4. Correct, retime, write back.
+        // 4. Correct and retime own entries, exchange, write all back.
         for k in 0..n_b {
             let i = self.block[k];
             let (f1, c) = self.corrected(k, t_next);
@@ -375,7 +388,10 @@ impl<E: ForceEngine> HermiteIntegrator<E> {
             set.t[i] = t_next;
             let want = aarseth_dt(f1.acc, f1.jerk, c.snap, c.crackle, self.cfg.eta);
             set.dt[i] = self.cfg.grid.next_step(t_next, dt, want);
-            self.engine.set_j_particle(i, &j_of(set, i));
+        }
+        exchange(&mut self.set, &mut self.block)?;
+        for &i in &self.block {
+            self.engine.set_j_particle(i, &j_of(&self.set, i));
         }
         // Corrector, retiming and scheduling: the fixed per-block overhead
         // plus the half of the per-particle work no pass hides — the last
@@ -412,20 +428,19 @@ impl<E: ForceEngine> HermiteIntegrator<E> {
         (f1, c)
     }
 
-    /// Block selection and host-side prediction: fills `self.block` and
-    /// `self.iparts`, records the Predict span, returns the block time.
-    fn select_and_predict(&mut self) -> f64 {
+    /// Block selection (the entries `owns` accepts) and host prediction:
+    /// fills `self.block` / `self.iparts`, records the Predict span.
+    fn select_and_predict(&mut self, owns: impl Fn(usize) -> bool) -> f64 {
         let set = &self.set;
         // 1. Block selection.
         let t_next = set.min_next_time();
         debug_assert!(t_next > self.t, "time must advance");
         self.block.clear();
         for i in 0..set.n() {
-            if set.t[i] + set.dt[i] == t_next {
+            if set.t[i] + set.dt[i] == t_next && owns(i) {
                 self.block.push(i);
             }
         }
-        debug_assert!(!self.block.is_empty());
         // 2. Host-side prediction of the block's i-particles.
         self.iparts.clear();
         for &i in &self.block {

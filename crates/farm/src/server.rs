@@ -24,8 +24,9 @@
 //! poll costs its syscalls plus the scheduler quantum it grants.  The
 //! only wait in the service is [`FarmServer::serve`]'s 1 ms sleep, taken
 //! when a poll found nothing to answer and nothing to run.  (A reply is
-//! still a blocking write: the socket is non-blocking only inside the
-//! receive.)
+//! still a blocking write — the socket is non-blocking only inside the
+//! receive — bounded by `stream.write_deadline`: a client that stops
+//! reading is cut off like a dead one when it expires.)
 //!
 //! A client that vanishes — EOF, torn frame, or silence past the
 //! heartbeat grace — triggers the checkpoint-eviction path: every
@@ -92,7 +93,8 @@ pub struct FarmServerConfig {
     pub dir: PathBuf,
     /// Service name; the address is published as `<service>.addr`.
     pub service: String,
-    /// Stream budgets + the run nonce clients must echo in `Hello`.
+    /// Stream budgets + the run nonce clients must echo in `Hello`; its
+    /// `write_deadline` bounds every reply.
     pub stream: StreamConfig,
     /// Silence longer than this detaches a connection's sessions.
     pub heartbeat_grace: Duration,
@@ -189,7 +191,7 @@ impl FarmServer {
     /// address so clients can rendezvous.
     pub fn bind(farm_cfg: FarmConfig, cfg: FarmServerConfig) -> Result<Self, ServerError> {
         let farm = Farm::open(farm_cfg)?;
-        let listener = ServiceListener::bind(cfg.kind, &cfg.dir, &cfg.service)?;
+        let listener = ServiceListener::bind_with(cfg.kind, &cfg.dir, &cfg.service, &cfg.stream)?;
         publish_service_addr(&cfg.dir, &cfg.service, cfg.stream.nonce, listener.addr())?;
         let ms = cfg.fallback_ms_per_blockstep.max(1e-6);
         Ok(Self {
@@ -823,6 +825,58 @@ mod tests {
         assert_eq!(tenant.join().unwrap(), dedicated_digest(16, 48, 0.125));
         drop(writer.join().unwrap());
         assert_eq!(reader.join().unwrap(), 1 + FLOOD, "every query answered");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_cut_off_at_the_write_deadline() {
+        use std::io::Write;
+        let dir = scratch("deaf");
+        let nonce = 23;
+        let farm_cfg = FarmConfig::builder(unit()).boards(1).build().unwrap();
+        let mut cfg = server_cfg(&dir, StreamKind::Uds, nonce);
+        cfg.stream.write_deadline = Duration::from_millis(50);
+        let handle = spawn_server(farm_cfg, cfg, ServeOptions::default());
+        let stream = StreamConfig {
+            nonce,
+            ..StreamConfig::default()
+        };
+        let addr = grape6_net::transport::wait_for_service_addr(&dir, "farm", &stream).unwrap();
+        // The deaf client floods Query and never reads a reply, so its
+        // receive buffer fills and the server's next write blocks.
+        let mut deaf = std::os::unix::net::UnixStream::connect(&addr).unwrap();
+        let flooder = std::thread::spawn(move || {
+            let session = SessionId {
+                tenant: 0,
+                index: 0,
+            };
+            let hello = FarmFrame::Hello {
+                proto: FARM_PROTO,
+                nonce,
+                spec: TenantSpec::new(1),
+            };
+            let mut bytes = framed(&hello.encode());
+            bytes.extend(framed(&FarmFrame::Query { session }.encode()).repeat(20_000));
+            // Fails once the server has cut the connection.
+            let _ = deaf.write_all(&bytes);
+            deaf
+        });
+        // The other tenant: an ordinary client with one job.
+        let mut client = FarmClient::builder(&dir)
+            .kind(StreamKind::Uds)
+            .nonce(nonce)
+            .connect()
+            .unwrap();
+        let sid = client.submit(&job(16, 50, 0.125)).unwrap();
+        let res = client.wait_result(sid, Duration::from_secs(30)).unwrap();
+        assert_eq!(
+            particles_digest(&res.particles),
+            dedicated_digest(16, 50, 0.125)
+        );
+        client.bye().unwrap();
+        let report = handle.join().unwrap();
+        assert_eq!(report.client_deaths, 1, "the deaf client was never cut off");
+        drop(flooder.join().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,7 @@
 //!   clock** to `max(own clock, send time + transfer time)` — conservative
 //!   discrete-event simulation at rank granularity, with real payloads and
 //!   real concurrency but simulated time.  [`fabric::allgather`] is the
-//!   ring all-gather the particle-parallel algorithms of
+//!   ring all-gather the ring and 2-D grid force algorithms of
 //!   `grape6-parallel` assemble their results with.
 //!
 //! The fabric can also be run *unreliable*: [`fabric::run_ranks_faulty`]

@@ -969,17 +969,37 @@ fn wait_for_addr(
 pub struct ServiceListener {
     inner: Listener,
     addr: String,
+    /// Bound on every write to an accepted connection.
+    write_deadline: Duration,
 }
 
 impl ServiceListener {
     /// Bind a non-blocking listener: TCP on an ephemeral loopback port,
-    /// or a UDS socket named `<service>.sock` under `dir`.
+    /// or a UDS socket named `<service>.sock` under `dir`.  Accepted
+    /// connections get the default [`StreamConfig`]'s write deadline.
     pub fn bind(kind: StreamKind, dir: &Path, service: &str) -> Result<Self, TransportError> {
+        Self::bind_with(kind, dir, service, &StreamConfig::default())
+    }
+
+    /// [`Self::bind`] with explicit budgets: every write to an accepted
+    /// connection is bounded by `cfg.write_deadline`, so a client that
+    /// stops reading fails the write like a hangup instead of blocking
+    /// the service.
+    pub fn bind_with(
+        kind: StreamKind,
+        dir: &Path,
+        service: &str,
+        cfg: &StreamConfig,
+    ) -> Result<Self, TransportError> {
         let io = |e: std::io::Error| TransportError::Io(e.to_string());
         std::fs::create_dir_all(dir).map_err(io)?;
         let (inner, addr) =
             Listener::bind(kind, &dir.join(format!("{service}.sock"))).map_err(io)?;
-        Ok(Self { inner, addr })
+        Ok(Self {
+            inner,
+            addr,
+            write_deadline: cfg.write_deadline,
+        })
     }
 
     /// The bound address (publish it via [`publish_service_addr`]).
@@ -988,10 +1008,14 @@ impl ServiceListener {
     }
 
     /// Non-blocking accept: `Ok(Some)` wraps the new connection in a
-    /// [`FramedConn`], `Ok(None)` means nobody is waiting.
+    /// write-deadline-bounded [`FramedConn`], `Ok(None)` means nobody is
+    /// waiting.
     pub fn try_accept(&self) -> Result<Option<FramedConn>, TransportError> {
         let io = |e: std::io::Error| TransportError::Io(e.to_string());
-        Ok(self.inner.try_accept().map_err(io)?.map(FramedConn::new))
+        match self.inner.try_accept().map_err(io)? {
+            Some(s) => FramedConn::bounded(s, self.write_deadline).map(Some),
+            None => Ok(None),
+        }
     }
 }
 

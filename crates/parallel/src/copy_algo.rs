@@ -8,49 +8,25 @@
 //! (§4.3), and its per-blockstep all-to-all exchange is the communication
 //! term behind figs. 17/18.
 //!
-//! Because every rank holds the full system and force sums run over the
-//! full j-range in index order, the parallel trajectories are
-//! **bit-identical** to the serial driver's — verified in the tests, and
-//! the distributed analogue of the §3.4 reproducibility property.
+//! Each rank is a [`HermiteIntegrator`] over the full copy that corrects
+//! the block entries `owner_of` gives it and exchanges them in one
+//! [`coalesced_wave`] per blockstep over any [`Transport`].  On the f64
+//! [`DirectEngine`] the trajectories are **bit-identical** to the serial
+//! driver's (the distributed §3.4 property; DESIGN §12 has the bit-level
+//! engine's caveat).
 
 use grape6_core::integrator::{HermiteIntegrator, IntegratorConfig};
 use grape6_core::stats::RunStats;
-use grape6_net::fabric::{allgather, run_ranks};
+use grape6_net::exchange::coalesced_wave;
+use grape6_net::fabric::run_ranks;
 use grape6_net::link::LinkProfile;
-use nbody_core::force::{DirectEngine, ForceEngine, ForceResult, IParticle, JParticle};
-use nbody_core::hermite::{aarseth_dt, correct, predict, HermiteState};
+use grape6_net::transport::{Transport, TransportError, VirtualTransport};
+use grape6_net::wire::JRecord;
+use nbody_core::force::{DirectEngine, EngineError, ForceEngine};
 use nbody_core::particle::ParticleSet;
 use nbody_core::Vec3;
 
-use crate::partition::owner_of;
-
-/// One updated particle as shipped between ranks after a blockstep.
-#[derive(Clone, Copy, Debug)]
-pub struct ParticleUpdate {
-    /// Global particle index.
-    pub idx: usize,
-    /// New position.
-    pub pos: Vec3,
-    /// New velocity.
-    pub vel: Vec3,
-    /// New acceleration.
-    pub acc: Vec3,
-    /// New jerk.
-    pub jerk: Vec3,
-    /// New snap.
-    pub snap: Vec3,
-    /// New crackle.
-    pub crackle: Vec3,
-    /// New potential.
-    pub pot: f64,
-    /// New particle time.
-    pub t: f64,
-    /// New timestep.
-    pub dt: f64,
-}
-
-/// Wire size of one update (6 vectors + 3 scalars + index).
-pub const UPDATE_BYTES: usize = 176;
+use crate::partition::chunk_ranges;
 
 /// Configuration of a copy-algorithm run.
 #[derive(Clone, Copy, Debug)]
@@ -110,6 +86,27 @@ pub struct CopySegment {
     pub t_end: f64,
 }
 
+/// Why a copy-algorithm rank stopped short.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CopyError {
+    /// This rank's engine failed.
+    Engine(EngineError),
+    /// The per-blockstep exchange failed.
+    Transport(TransportError),
+}
+
+impl From<EngineError> for CopyError {
+    fn from(e: EngineError) -> Self {
+        Self::Engine(e)
+    }
+}
+
+impl From<TransportError> for CopyError {
+    fn from(e: TransportError) -> Self {
+        Self::Transport(e)
+    }
+}
+
 /// Integrate `set` to `t_end` on `p` ranks with the copy algorithm.
 pub fn run_copy_parallel(
     set: &ParticleSet,
@@ -129,7 +126,8 @@ pub fn run_copy_parallel(
     )
 }
 
-/// Integrate one bounded segment of a copy-algorithm run.
+/// Integrate one bounded segment of a copy-algorithm run on `p` ranks of
+/// the virtual-time fabric, each on the f64 [`DirectEngine`].
 ///
 /// Stats count this segment only; callers stitching segments together sum
 /// them.  Because every rank holds the full system and the blockstep
@@ -142,98 +140,27 @@ pub fn run_copy_parallel_segment(
     cfg: &CopyConfig,
 ) -> CopyRunResult {
     let n = set.n();
-    let t_end = seg.t_end;
-    let results = run_ranks::<Vec<ParticleUpdate>, (ParticleSet, RunStats, f64, u64), _>(
-        p,
-        cfg.link,
-        |mut ep| {
-            let rank = ep.rank();
-            // Every rank: full copy, full engine, synchronized-identical
-            // initialisation (same arithmetic as the serial driver) — or,
-            // on resume, the caller's mid-run state verbatim.
-            let (mut local, eps, mut t) = match seg.resume_from {
-                None => {
-                    let it = HermiteIntegrator::new(DirectEngine::new(n), set.clone(), cfg.integ);
-                    (it.particles().clone(), it.epsilon(), 0.0f64)
-                }
-                Some(t0) => (set.clone(), cfg.integ.softening.epsilon(n), t0),
-            };
-            let mut stats = RunStats::new();
-            let eps2 = eps * eps;
-            let mut engine = DirectEngine::new(n);
-            for i in 0..n {
-                engine.set_j_particle(i, &j_from(&local, i));
-            }
-            while t < t_end && seg.max_blocksteps.is_none_or(|m| stats.blocksteps < m) {
-                let t_next = local.min_next_time();
-                // My share of the block (owner by contiguous chunks).
-                let mut updates: Vec<ParticleUpdate> = Vec::new();
-                let mut my_interactions = 0u64;
-                engine.set_time(t_next);
-                let mut block_len = 0usize;
-                for i in 0..n {
-                    if local.t[i] + local.dt[i] != t_next {
-                        continue;
-                    }
-                    block_len += 1;
-                    if owner_of(n, p, i) != rank {
-                        continue;
-                    }
-                    let dt = t_next - local.t[i];
-                    let s = HermiteState {
-                        pos: local.pos[i],
-                        vel: local.vel[i],
-                        acc: local.acc[i],
-                        jerk: local.jerk[i],
-                    };
-                    let (pp, pv) = predict(&s, Vec3::ZERO, dt);
-                    let ip = [IParticle {
-                        pos: pp,
-                        vel: pv,
-                        eps2,
-                    }];
-                    let mut f = [ForceResult::default()];
-                    engine.compute(&ip, &mut f);
-                    my_interactions += n as u64;
-                    let mut f1 = f[0];
-                    if eps > 0.0 {
-                        f1.pot += local.mass[i] / eps;
-                    }
-                    let c = correct(&s, pp, pv, &f1, dt);
-                    let want = aarseth_dt(f1.acc, f1.jerk, c.snap, c.crackle, cfg.integ.eta);
-                    let dt_new = cfg.integ.grid.next_step(t_next, dt, want);
-                    updates.push(ParticleUpdate {
-                        idx: i,
-                        pos: c.pos,
-                        vel: c.vel,
-                        acc: f1.acc,
-                        jerk: f1.jerk,
-                        snap: c.snap,
-                        crackle: c.crackle,
-                        pot: f1.pot,
-                        t: t_next,
-                        dt: dt_new,
-                    });
-                }
-                ep.advance(
-                    my_interactions as f64 * cfg.t_pair + updates.len() as f64 * cfg.t_host_step,
-                );
-                // Exchange: every rank learns every update (the paper's
-                // per-blockstep synchronisation + exchange).
-                let bytes = updates.len() * UPDATE_BYTES;
-                let all = allgather(&mut ep, updates, bytes.max(8)).expect("lossless fabric");
-                for batch in &all {
-                    for u in batch {
-                        apply_update(&mut local, u);
-                        engine.set_j_particle(u.idx, &j_from(&local, u.idx));
-                    }
-                }
-                stats.record_block(block_len, t_next - t);
-                t = t_next;
-            }
-            (local, stats, ep.clock(), ep.bytes_sent())
-        },
-    );
+    let per_entry = n as f64 * cfg.t_pair + cfg.t_host_step;
+    let results = run_ranks::<Vec<u8>, _, _>(p, cfg.link, |mut ep| {
+        let mut tr = VirtualTransport::new(&mut ep);
+        // A virtual rank's compute costs virtual time, charged before
+        // each wave for the entries this rank corrected.
+        let it = run_copy_rank(
+            DirectEngine::new(n),
+            set.clone(),
+            cfg.integ,
+            seg,
+            &mut tr,
+            |tr, k| tr.endpoint().advance(k as f64 * per_entry),
+        )
+        .expect("lossless fabric, infallible engine");
+        (
+            it.particles().clone(),
+            it.stats().clone(),
+            ep.clock(),
+            ep.bytes_sent(),
+        )
+    });
     let clocks = results.iter().map(|r| r.2).collect();
     let bytes_sent = results.iter().map(|r| r.3).collect();
     let first = results.into_iter().next().unwrap();
@@ -245,28 +172,83 @@ pub fn run_copy_parallel_segment(
     }
 }
 
-fn apply_update(set: &mut ParticleSet, u: &ParticleUpdate) {
-    set.pos[u.idx] = u.pos;
-    set.vel[u.idx] = u.vel;
-    set.acc[u.idx] = u.acc;
-    set.jerk[u.idx] = u.jerk;
-    set.snap[u.idx] = u.snap;
-    set.crackle[u.idx] = u.crackle;
-    set.pot[u.idx] = u.pot;
-    set.t[u.idx] = u.t;
-    set.dt[u.idx] = u.dt;
+/// One rank of the copy algorithm over `tr`: its full copy, built from
+/// `set` as `seg` says and stepped until `seg` stops it.  `charge(tr, k)`
+/// runs before each wave with the count of entries this rank corrected
+/// (virtual time; a real backend has spent real time).
+pub fn run_copy_rank<E: ForceEngine, T: Transport>(
+    engine: E,
+    set: ParticleSet,
+    integ: IntegratorConfig,
+    seg: CopySegment,
+    tr: &mut T,
+    mut charge: impl FnMut(&mut T, usize),
+) -> Result<HermiteIntegrator<E>, CopyError> {
+    // The indices `owner_of` gives this rank.
+    let mine = chunk_ranges(set.n(), tr.n_ranks())[tr.rank()].clone();
+    let mut it = match seg.resume_from {
+        None => HermiteIntegrator::try_new(engine, set, integ)?,
+        Some(t0) => HermiteIntegrator::resume(engine, set, integ, t0, RunStats::new()),
+    };
+    while it.time() < seg.t_end && seg.max_blocksteps.is_none_or(|m| it.stats().blocksteps < m) {
+        let step = it.stats().blocksteps;
+        let exchange = |set: &mut ParticleSet, block: &mut Vec<usize>| -> Result<(), CopyError> {
+            charge(tr, block.len());
+            // Own particles' next times (the corrections just moved some).
+            let t_mine = mine.clone().map(|i| set.t[i] + set.dt[i]);
+            let t_mine = t_mine.fold(f64::INFINITY, f64::min);
+            let records = block.iter().map(|&i| record(set, i)).collect();
+            let out = coalesced_wave(tr, step, t_mine, records, &[])?;
+            block.clear();
+            for r in &out.merged {
+                block.push(apply(set, r)?);
+            }
+            debug_assert_eq!(out.t_min, set.min_next_time());
+            Ok(())
+        };
+        it.try_step_shared(|i| mine.contains(&i), exchange)?;
+    }
+    Ok(it)
 }
 
-fn j_from(set: &ParticleSet, i: usize) -> JParticle {
-    JParticle {
-        mass: set.mass[i],
-        t0: set.t[i],
-        pos: set.pos[i],
-        vel: set.vel[i],
-        acc: set.acc[i],
-        jerk: set.jerk[i],
-        snap: set.snap[i],
+/// Words per exchanged particle (see [`fields`]).
+const RECORD_WORDS: usize = 21;
+
+/// The wire order of one exchanged particle: pos, vel, acc, jerk, snap and
+/// crackle (three each), then pot, t and dt.
+fn fields(s: &mut ParticleSet, i: usize) -> impl Iterator<Item = &mut f64> {
+    let vecs = [
+        &mut s.pos[i],
+        &mut s.vel[i],
+        &mut s.acc[i],
+        &mut s.jerk[i],
+        &mut s.snap[i],
+        &mut s.crackle[i],
+    ];
+    let xyz = vecs.into_iter().flat_map(|Vec3 { x, y, z }| [x, y, z]);
+    xyz.chain([&mut s.pot[i], &mut s.t[i], &mut s.dt[i]])
+}
+
+/// Particle `i`'s corrected state as a wave record (`f64` bit patterns).
+fn record(set: &mut ParticleSet, i: usize) -> JRecord {
+    let words = fields(set, i).map(|x| x.to_bits()).collect();
+    JRecord {
+        index: i as u64,
+        words,
     }
+}
+
+/// Write a received record into `set`; returns its particle index.  A
+/// record another rank could not have produced is a protocol error.
+fn apply(set: &mut ParticleSet, r: &JRecord) -> Result<usize, TransportError> {
+    let i = usize::try_from(r.index)
+        .ok()
+        .filter(|&i| i < set.n() && r.words.len() == RECORD_WORDS)
+        .ok_or(TransportError::Protocol("malformed copy-algorithm record"))?;
+    for (x, &w) in fields(set, i).zip(&r.words) {
+        *x = f64::from_bits(w);
+    }
+    Ok(i)
 }
 
 #[cfg(test)]
@@ -316,19 +298,66 @@ mod tests {
 
     #[test]
     fn communication_bytes_scale_with_updates() {
+        // One butterfly wave per blockstep, exactly: ⌈log₂ p⌉ frames per
+        // rank, each a 52-byte stage header plus 16 + 8 × 21 bytes per
+        // record it carries (its own entries at stage 0; at p = 4's stage
+        // 1, its own and its stage-0 partner's) — the waves' own bytes.
         let n = 32;
         let set = plummer(n);
-        let out = run_copy_parallel(&set, 2, 0.125, &CopyConfig::default());
-        let total: u64 = out.bytes_sent.iter().sum();
-        // Ring allgather over 2 ranks: each update crosses the wire once
-        // per peer; total wire volume ≈ steps × UPDATE_BYTES × (p−1) + the
-        // empty-batch sentinels.
-        let lower = out.stats.particle_steps * UPDATE_BYTES as u64;
-        assert!(
-            total >= lower / 2,
-            "wire volume {total} vs expected ≥ {}",
-            lower / 2
-        );
+        let seg = CopySegment {
+            resume_from: None,
+            max_blocksteps: None,
+            t_end: 0.125,
+        };
+        let (header, per_record) = (52, (16 + 8 * RECORD_WORDS) as u64);
+        for p in [2usize, 4] {
+            let out = run_ranks::<Vec<u8>, _, _>(p, LinkProfile::ideal(), |mut ep| {
+                let mut own = 0u64;
+                let it = run_copy_rank(
+                    DirectEngine::new(n),
+                    set.clone(),
+                    IntegratorConfig::default(),
+                    seg,
+                    &mut VirtualTransport::new(&mut ep),
+                    |_, k| own += k as u64,
+                )
+                .unwrap();
+                let blocksteps = it.stats().blocksteps;
+                (blocksteps, own, ep.messages_sent(), ep.bytes_sent())
+            });
+            let stages = u64::from(p.ilog2());
+            for (r, &(blocksteps, own, messages, bytes)) in out.iter().enumerate() {
+                assert!(blocksteps > 0);
+                assert_eq!(messages, blocksteps * stages, "p={p} rank {r}");
+                let carried = if p == 2 { own } else { 2 * own + out[r ^ 1].1 };
+                assert_eq!(
+                    bytes,
+                    messages * header + carried * per_record,
+                    "p={p} rank {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_protocol_errors() {
+        let mut set = plummer(4);
+        let good = record(&mut set, 2);
+        assert_eq!(apply(&mut set, &good), Ok(2));
+        let short = JRecord {
+            words: good.words[..20].to_vec(),
+            ..good.clone()
+        };
+        let far = JRecord {
+            index: 4,
+            ..good.clone()
+        };
+        for bad in [short, far] {
+            assert!(matches!(
+                apply(&mut set, &bad),
+                Err(TransportError::Protocol(_))
+            ));
+        }
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! §3.2 of the paper analyses three ways to distribute an O(N²) direct-
 //! summation code over a cluster, and the GRAPE-6 system design is the
-//! conclusion of that analysis.  All three are implemented here over the
-//! virtual-time fabric of `grape6-net`, with the same force semantics as
-//! the serial code so correctness is checked by direct comparison:
+//! conclusion of that analysis.  All three are implemented here on
+//! `grape6-net`, with the same force semantics as the serial code so
+//! correctness is checked by direct comparison:
 //!
 //! * [`copy_algo`] — the **copy** algorithm: every rank holds the complete
 //!   system, integrates its own subset, and all ranks exchange the updated
 //!   particles after each blockstep.  "This algorithm has been used to
 //!   implement the individual timestep algorithm on distributed-memory
 //!   parallel computers"; it is also exactly how GRAPE-6 parallelises
-//!   *across clusters* (§4.3).  Implemented as a full parallel Hermite
-//!   integrator whose trajectories are **bit-identical** to the serial
-//!   driver.
+//!   *across clusters* (§4.3).  Each rank is the serial
+//!   `HermiteIntegrator` over the full copy, on any force engine, and the
+//!   exchange is one coalesced wave per blockstep over any `Transport` —
+//!   the virtual-time fabric or real sockets.  On the f64 engine the
+//!   trajectories are **bit-identical** to the serial driver.
 //! * [`ring_algo`] — the **ring** algorithm: non-overlapping subsets; the
 //!   i-particles circulate around a ring so every rank computes the force
 //!   of its resident subset on every passing block.
@@ -24,6 +26,8 @@
 //!   O(N/r)… the communication speed is improved by a factor proportional
 //!   to the square root of the number of processors."
 //!
+//!   Ring and grid compute forces only, over the virtual-time fabric.
+//!
 //! * [`partition`] — the index arithmetic shared by all three.
 
 pub mod copy_algo;
@@ -32,7 +36,8 @@ pub mod partition;
 pub mod ring_algo;
 
 pub use copy_algo::{
-    run_copy_parallel, run_copy_parallel_segment, CopyConfig, CopyRunResult, CopySegment,
+    run_copy_parallel, run_copy_parallel_segment, run_copy_rank, CopyConfig, CopyError,
+    CopyRunResult, CopySegment,
 };
 pub use grid2d::grid2d_forces;
 pub use partition::chunk_ranges;

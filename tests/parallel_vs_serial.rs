@@ -1,13 +1,127 @@
 //! The parallel algorithms against the serial reference, end to end.
 
-use grape6::core::{HermiteIntegrator, IntegratorConfig};
+use std::time::Duration;
+
+use grape6::core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
 use grape6::nbody::force::{direct_all, DirectEngine, ForceEngine};
 use grape6::nbody::ic::plummer::plummer_model;
-use grape6::net::LinkProfile;
-use grape6::parallel::copy_algo::{run_copy_parallel, CopyConfig};
+use grape6::nbody::particle::ParticleSet;
+use grape6::net::{
+    run_ranks, LinkProfile, StreamConfig, StreamKind, StreamTransport, VirtualTransport,
+};
+use grape6::parallel::copy_algo::{run_copy_parallel, run_copy_rank, CopyConfig, CopySegment};
 use grape6::parallel::{grid2d_forces, ring_forces};
+use grape6::system::MachineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Every word of a particle state, as bit patterns.
+fn bits(s: &ParticleSet) -> Vec<u64> {
+    let vecs = [&s.pos, &s.vel, &s.acc, &s.jerk, &s.snap, &s.crackle];
+    let v = vecs
+        .iter()
+        .flat_map(|v| v.iter().flat_map(|x| [x.x, x.y, x.z]));
+    let scalars = [&s.pot, &s.t, &s.dt].into_iter().flatten().copied();
+    v.chain(scalars).map(f64::to_bits).collect()
+}
+
+/// Every rank's final state of a `p`-rank copy-algorithm run on the
+/// virtual fabric, then over an in-process UDS mesh (one thread per rank).
+fn both_backends<E: ForceEngine>(
+    set: &ParticleSet,
+    p: usize,
+    t_end: f64,
+    engine: impl Fn() -> E + Sync,
+) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    let integ = IntegratorConfig::default();
+    let seg = CopySegment {
+        resume_from: None,
+        max_blocksteps: None,
+        t_end,
+    };
+    let virt = run_ranks::<Vec<u8>, _, _>(p, LinkProfile::ideal(), |mut ep| {
+        let mut tr = VirtualTransport::new(&mut ep);
+        let it = run_copy_rank(engine(), set.clone(), integ, seg, &mut tr, |_, _| {})
+            .expect("virtual rank");
+        bits(it.particles())
+    });
+    let dir = std::env::temp_dir().join(format!(
+        "g6-copy-uds-{p}-{}-{}",
+        set.n(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Debug builds of the bit-level engine are slow: a generous budget for
+    // waiting on the slowest rank.
+    let cfg = StreamConfig {
+        read_deadline: Duration::from_millis(500),
+        read_attempts: 6,
+        ..StreamConfig::default()
+    };
+    let uds = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..p)
+            .map(|rank| {
+                let (dir, engine) = (&dir, &engine);
+                s.spawn(move || {
+                    let mut tr = StreamTransport::connect_with(rank, p, dir, StreamKind::Uds, &cfg)
+                        .expect("rendezvous");
+                    let it = run_copy_rank(engine(), set.clone(), integ, seg, &mut tr, |_, _| {})
+                        .expect("uds rank");
+                    bits(it.particles())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    (virt, uds)
+}
+
+#[test]
+fn copy_ranks_over_uds_match_the_virtual_fabric_and_the_serial_driver() {
+    let n = 32;
+    let set = plummer_model(n, &mut StdRng::seed_from_u64(205));
+    let t_end = 0.125;
+    let mut serial = HermiteIntegrator::new(
+        DirectEngine::new(n),
+        set.clone(),
+        IntegratorConfig::default(),
+    );
+    serial.run_until(t_end);
+    let want = bits(serial.particles());
+    for p in [2usize, 4] {
+        let (virt, uds) = both_backends(&set, p, t_end, || DirectEngine::new(n));
+        for r in 0..p {
+            assert!(virt[r] == want, "p={p} rank {r}: virtual fabric vs serial");
+            assert!(uds[r] == want, "p={p} rank {r}: UDS vs serial");
+        }
+    }
+}
+
+#[test]
+fn copy_ranks_on_the_bit_level_engine_agree_on_every_rank_and_backend() {
+    let n = 24;
+    let t_end = 0.0625;
+    let machine = MachineConfig::test_small();
+    let set = plummer_model(n, &mut StdRng::seed_from_u64(206));
+    let grape = || Grape6Engine::try_new(&machine, n).expect("capacity");
+    for p in [2usize, 4] {
+        let (virt, uds) = both_backends(&set, p, t_end, grape);
+        for r in 0..p {
+            assert!(virt[r] == virt[0], "p={p}: virtual rank {r} vs rank 0");
+            assert!(uds[r] == virt[0], "p={p}: UDS rank {r} vs virtual rank 0");
+        }
+    }
+    // One rank owns every block entry: the serial driver's bits exactly.
+    let mut serial = HermiteIntegrator::new(grape(), set.clone(), IntegratorConfig::default());
+    serial.run_until(t_end);
+    let (virt, uds) = both_backends(&set, 1, t_end, grape);
+    assert!(virt[0] == bits(serial.particles()), "p=1 virtual vs serial");
+    assert!(uds[0] == virt[0], "p=1 UDS vs virtual");
+}
 
 #[test]
 fn copy_algorithm_bitwise_across_rank_counts() {
@@ -87,9 +201,7 @@ fn midrun_hardware_deaths_leave_trajectories_bitwise_identical() {
     // must stay bitwise identical to the healthy machine — the engine
     // redistributes the j-particles over the survivors and the block-FP
     // reduction makes the new partitioning invisible.
-    use grape6::core::Grape6Engine;
     use grape6::fault::FaultPlan;
-    use grape6::system::MachineConfig;
 
     let n = 48;
     let set = plummer_model(n, &mut StdRng::seed_from_u64(204));
