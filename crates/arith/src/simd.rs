@@ -5,11 +5,16 @@
 //! operations the pipeline needs on them.  Three instances exist —
 //! [`Portable`] (4 lanes in plain arrays, runs on every host), and on
 //! x86-64 the hand-rolled `core::arch` files `Avx2` (4 lanes) and `Avx512`
-//! (8 lanes).  The hot helpers ([`quantize_lanes`], the gathered
-//! `RsqrtCubedUnit::eval_both_lanes`, the block-FP lane accumulator
-//! [`LaneAccum`](crate::blockfp::LaneAccum)) are generic too, and
-//! monomorphized under `#[target_feature]` entry points for the x86
-//! instances.
+//! (8 lanes).  The hot helpers are generic too, and monomorphized under
+//! `#[target_feature]` entry points for the x86 instances:
+//!
+//! * [`quantize_lanes_finite`], the force kernel's rounding — five lane
+//!   ops, exact on finite values, ±inf and zero-payload NaNs, a domain the
+//!   kernel proves once per batch and lane group;
+//! * [`quantize_lanes`], its total twin with the NaN/±inf select (eight
+//!   lane ops), behind [`quantize_slice`];
+//! * the gathered `RsqrtCubedUnit::eval_both_lanes`;
+//! * the block-FP lane accumulator [`LaneAccum`](crate::blockfp::LaneAccum).
 //!
 //! **Bitwise contract.** Every lane operation used here is either pure
 //! integer manipulation (identical to scalar by definition) or an IEEE-754
@@ -694,6 +699,33 @@ pub unsafe fn quantize_lanes<L: Lanes>(x: L::F, sig: u32) -> L::F {
     L::select(special, x, L::from_bits(rounded))
 }
 
+/// [`quantize_lanes`] without the NaN/±inf select: five lane ops,
+/// `((bits + half_m1) + lsb) & keep_mask`, instead of eight.
+///
+/// **Domain D:** finite values, ±inf, and NaNs whose low `53 − sig` bits
+/// are zero (the default NaN, payload zero, qualifies for `sig ≥ 2`).  On
+/// D the result is bit-identical to [`quantize_lanes`] — and so to
+/// [`quantize_sig_branchless`](crate::quantize_sig_branchless): for a
+/// finite lane the select always picks `rounded`; for ±inf and such NaNs
+/// the dropped field is zero, so adding `half_m1 + lsb < 2^drop` never
+/// carries and the mask hands back `x`.  Outside D the carry runs into the
+/// exponent and sign (at sig 24, `0x7FFF_FFFF_FFFF_FFFF` comes out as
+/// `-0.0`): the caller must prove its lanes are in D.  The force kernel
+/// does, once per batch and lane group (`grape6_chip::kernel_simd`).
+///
+/// # Safety
+/// `L`'s ISA must be available on the running CPU.
+#[inline(always)]
+pub unsafe fn quantize_lanes_finite<L: Lanes>(x: L::F, sig: u32) -> L::F {
+    debug_assert!((1..=52).contains(&sig));
+    let drop = 53 - sig;
+    let bits = L::to_bits(x);
+    let half_m1 = L::splat_i(((1u64 << (drop - 1)) - 1) as i64);
+    let keep_mask = L::splat_i(!((1u64 << drop) - 1) as i64);
+    let lsb = L::and_i(L::shr_i(bits, drop), L::splat_i(1));
+    L::from_bits(L::and_i(L::add_i(L::add_i(bits, half_m1), lsb), keep_mask))
+}
+
 /// Quantize a slice through the active SIMD level: `out[i] =
 /// quantize_sig_branchless(xs[i], sig)` for every `i`, the bulk in
 /// 4/8-wide lanes and the tail through the scalar function.  Returns the
@@ -806,6 +838,28 @@ mod tests {
         cvt_lanes::<Avx512>(xs, out, halved)
     }
 
+    /// `out = quantize_lanes_finite(xs)`, lanewise (`xs.len()` a multiple
+    /// of the width).
+    #[inline(always)]
+    unsafe fn finite_lanes<L: Lanes>(xs: &[f64], out: &mut [f64], sig: u32) {
+        for (k, x) in xs.chunks_exact(L::WIDTH).enumerate() {
+            let v = quantize_lanes_finite::<L>(L::load(x.as_ptr()), sig);
+            L::store(out.as_mut_ptr().add(k * L::WIDTH), v);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn finite_avx2(xs: &[f64], out: &mut [f64], sig: u32) {
+        finite_lanes::<Avx2>(xs, out, sig)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn finite_avx512(xs: &[f64], out: &mut [f64], sig: u32) {
+        finite_lanes::<Avx512>(xs, out, sig)
+    }
+
     /// `out = xs as i64`, lanewise (integer-valued inputs).
     #[inline(always)]
     unsafe fn to_i64_lanes<L: Lanes>(xs: &[f64], out: &mut [i64]) {
@@ -881,6 +935,7 @@ mod tests {
         label: &'static str,
         width: usize,
         quantize: unsafe fn(&[f64], &mut [f64], u32),
+        quantize_finite: unsafe fn(&[f64], &mut [f64], u32),
         convert: unsafe fn(&[i64], &mut [f64], &mut [f64]),
         to_i64: unsafe fn(&[f64], &mut [i64]),
         accumulate: Accumulate,
@@ -895,6 +950,7 @@ mod tests {
             label: "portable",
             width: Portable::WIDTH,
             quantize: quantize_slice_lanes::<Portable>,
+            quantize_finite: finite_lanes::<Portable>,
             convert: cvt_lanes::<Portable>,
             to_i64: to_i64_lanes::<Portable>,
             accumulate: accumulate_lanes::<Portable>,
@@ -907,6 +963,7 @@ mod tests {
                     label: "avx2",
                     width: Avx2::WIDTH,
                     quantize: quantize_slice_avx2,
+                    quantize_finite: finite_avx2,
                     convert: cvt_avx2,
                     to_i64: to_i64_avx2,
                     accumulate: accumulate_avx2,
@@ -917,6 +974,7 @@ mod tests {
                     label: "avx512",
                     width: Avx512::WIDTH,
                     quantize: quantize_slice_avx512,
+                    quantize_finite: finite_avx512,
                     convert: cvt_avx512,
                     to_i64: to_i64_avx512,
                     accumulate: accumulate_avx512,
@@ -963,6 +1021,78 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lane_quantizer_finite_matches_on_its_domain() {
+        // Domain D: everything but NaNs with a nonzero dropped field.
+        let in_domain = |x: f64, sig: u32| {
+            let dropped = (1u64 << (53 - sig)) - 1;
+            !x.is_nan() || x.to_bits() & dropped == 0
+        };
+        let mut sweep: Vec<f64> = Vec::new();
+        xorshift_sweep(|s| sweep.push(f64::from_bits(s)));
+        let default_nan = f64::from_bits(0x7ff8_0000_0000_0000);
+        for sig in [24u32, 11, 50] {
+            let mut xs: Vec<f64> = sweep
+                .iter()
+                .copied()
+                .filter(|&x| in_domain(x, sig))
+                .collect();
+            xs.extend_from_slice(&[
+                0.0f64,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                default_nan,
+                -default_nan,
+                f64::MIN_POSITIVE,
+                f64::from_bits(1),
+                f64::from_bits(0x000f_ffff_ffff_ffff),
+                f64::MAX,
+                1.0 + 2f64.powi(1 - sig as i32) / 2.0,
+                1.0 + 3.0 * 2f64.powi(1 - sig as i32) / 2.0,
+                -(2.0 - 2f64.powi(-(sig as i32) - 1)),
+            ]);
+            assert!(xs.iter().all(|&x| in_domain(x, sig)));
+            assert!(xs.len() > 150_000, "the filter keeps the bulk of the sweep");
+            xs.resize(xs.len().next_multiple_of(8), 0.0);
+            let mut out = vec![0.0f64; xs.len()];
+            for Instance {
+                label,
+                quantize_finite,
+                ..
+            } in lane_instances()
+            {
+                // SAFETY: `lane_instances` lists only runnable instances.
+                unsafe { quantize_finite(&xs, &mut out, sig) };
+                for (&x, &got) in xs.iter().zip(&out) {
+                    assert_eq!(
+                        got.to_bits(),
+                        crate::quantize_sig_branchless(x, sig).to_bits(),
+                        "{label} sig={sig} bits={:#018x}",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+        // Why the domain exists: outside it the carry runs through the
+        // exponent into the sign — a NaN comes out as −0.0.
+        let nan = [f64::from_bits(0x7fff_ffff_ffff_ffff); 8];
+        let mut out = [1.0f64; 8];
+        for Instance {
+            label,
+            quantize_finite,
+            ..
+        } in lane_instances()
+        {
+            // SAFETY: `lane_instances` lists only runnable instances.
+            unsafe { quantize_finite(&nan, &mut out, 24) };
+            assert!(
+                out.iter().all(|x| x.to_bits() == (-0.0f64).to_bits()),
+                "{label}: {out:?}"
+            );
         }
     }
 

@@ -32,7 +32,12 @@
 //!   flag is discarded and its i-particles re-run through the scalar
 //!   oracle in ascending i (`scalar_row`), which reproduces the exact
 //!   `BlockFpError` the host's retry ladder expects (same i order, same j
-//!   order ⇒ same first failure).
+//!   order ⇒ same first failure);
+//! * the rounding drops the quantiser's NaN/±inf select, which no value
+//!   of a NaN-free pass needs: [`SoaBatch::decode`] notes a NaN among the
+//!   j words once per prediction, each lane group checks its own
+//!   i-registers, and a group that fails either check takes the same
+//!   `scalar_row` path as a flagged one.
 //!
 //! [`batched_block`] and its one-i forms [`batched_row`] /
 //! [`batched_row_nb`] run that datapath on the `Portable` lane instance
@@ -93,13 +98,18 @@ pub struct SoaBatch {
     pub(crate) vx: Vec<f64>,
     pub(crate) vy: Vec<f64>,
     pub(crate) vz: Vec<f64>,
+    /// Is any of the f64 words above NaN?  Then the lane kernel runs the
+    /// whole batch through the scalar oracle (see `kernel_simd`).  The
+    /// default — an empty batch — has seen none.
+    pub(crate) any_nan: bool,
 }
 
 impl SoaBatch {
     /// Decode a pass's predicted j-particles.  All stored values are
     /// already in hardware formats (quantised / fixed point); this is a
-    /// pure layout transpose.  The lane kernel reads the j side one
-    /// scalar at a time, so the seven arrays hold exactly the batch.
+    /// pure layout transpose, plus one look for a NaN among the f64 words.
+    /// The lane kernel reads the j side one scalar at a time, so the seven
+    /// arrays hold exactly the batch.
     pub fn decode(&mut self, predicted: &[PredictedJ]) {
         self.mass.clear();
         self.px.clear();
@@ -115,6 +125,14 @@ impl SoaBatch {
         self.vx.extend(predicted.iter().map(|p| p.vel[0]));
         self.vy.extend(predicted.iter().map(|p| p.vel[1]));
         self.vz.extend(predicted.iter().map(|p| p.vel[2]));
+        // One branch-free pass over the four arrays: it vectorises, where
+        // a short-circuiting `any` per array would cost more than the
+        // transpose itself.
+        let n = self.mass.len();
+        let (m, vx, vy, vz) = (&self.mass[..n], &self.vx[..n], &self.vy[..n], &self.vz[..n]);
+        self.any_nan = (0..n).fold(false, |nan, k| {
+            nan | m[k].is_nan() | vx[k].is_nan() | vy[k].is_nan() | vz[k].is_nan()
+        });
     }
 
     /// Number of j-particles in the batch.
@@ -173,9 +191,9 @@ pub fn batched_row_nb(
 /// and a list (cleared first).  This is [`KernelMode::Scalar`]'s pass
 /// body, and what the lane block re-runs a flagged group's i-particles
 /// through to recover the exact error value: the oracle sees the same
-/// j-sequence, so it fails at the same first-overflowing summand; if it
-/// somehow completes (it cannot, by the `LaneAccum` flag contract), its
-/// result and list are still the correct bits and are used as such.
+/// j-sequence, so it fails at the same first-overflowing summand.  A group
+/// sent here for a NaN input rather than a flag may complete; its result
+/// and list are the correct bits and are used as such.
 pub(crate) fn scalar_row(
     rsqrt: &RsqrtCubedUnit,
     ip: &HwIParticle,

@@ -25,10 +25,34 @@
 //! would.  The idle lanes of a ragged last group carry a copy of a real
 //! i-register and are masked out of flags, neighbour lists and output.
 //!
-//! **Errors.** A flag on any real lane (looked at once per `CHUNK`)
-//! discards that group and re-runs its i-particles through the scalar
-//! oracle in ascending i, returning the first `Err` — which is the one the
-//! scalar i-loop returns, whichever lane tripped first in j.
+//! **The quantiser's domain.** `q` is `quantize_lanes_finite`: the
+//! quantiser without its NaN/±inf select, five lane ops instead of eight.
+//! It equals the oracle's `quantize_sig` on a domain D — finite values,
+//! ±inf, and NaNs whose dropped low `53 − PIPE_SIG_BITS` bits are zero.
+//! If none of the pass's f64 inputs is NaN (j side: `mass`, `vx`, `vy`,
+//! `vz`; i side: `vel`, `eps2` — positions are integer words), every value
+//! the j-step feeds to `q` is in D:
+//!
+//! * an IEEE op on non-NaN operands yields a non-NaN or the default NaN
+//!   (payload zero; Rust's "preferred NaN"), which is in D;
+//! * an op with a NaN operand propagates an operand's payload (or the
+//!   default NaN), so by induction every NaN in the chain has payload zero;
+//! * the `pot` sign flip and `round_ties_even` keep the payload;
+//! * the rsqrt table gathers are finite, and the out-of-window lanes go
+//!   through `fix_lanes`, the same `eval_both` the oracle runs (finite
+//!   too: zero for NaN, ±inf and non-positive arguments).
+//!
+//! The precondition is checked where it costs nothing per pair:
+//! `SoaBatch::decode` records whether any j-side word is NaN, once per
+//! prediction, and each lane group looks at its own real i-registers when
+//! it loads them.  A group that fails either check is treated exactly like
+//! a tripped one (below), so NaN inputs get the oracle's bits and the
+//! oracle's error without a second kernel.
+//!
+//! **Errors.** A flag on any real lane (looked at once per `CHUNK`), or a
+//! NaN input, discards that group and re-runs its i-particles through the
+//! scalar oracle in ascending i, returning the first `Err` — which is the
+//! one the scalar i-loop returns, whichever lane tripped first in j.
 //!
 //! Dispatch happens per block via [`grape6_arith::simd::active_level`];
 //! with no level active (non-x86 hosts, `GRAPE6_FORCE_SCALAR=1`) the block
@@ -39,7 +63,7 @@
 use grape6_arith::blockfp::{window_scale, BlockFpError, LaneAccum, LaneFlags};
 use grape6_arith::fixed::PosFix;
 use grape6_arith::rsqrt::RsqrtCubedUnit;
-use grape6_arith::simd::{quantize_lanes, Lanes, Portable, MAX_LANES};
+use grape6_arith::simd::{quantize_lanes_finite, Lanes, Portable, MAX_LANES};
 use grape6_arith::PIPE_SIG_BITS;
 
 use crate::kernel::{scalar_row, SoaBatch, CHUNK};
@@ -171,8 +195,9 @@ mod x86 {
 ///
 /// Every line of the j-loop mirrors a stage of `pipeline::interact`; `q`
 /// is the single rounding each `PipeFloat` operation performs (the
-/// branchless lane quantiser, bit-identical to the `quantize_sig` the
-/// wrappers call).  Nothing is spilled: per group of `WIDTH` i-registers
+/// select-free lane quantiser, bit-identical to the `quantize_sig` the
+/// wrappers call on every value a NaN-free group feeds it — module docs).
+/// Nothing is spilled: per group of `WIDTH` i-registers
 /// the i-side and the seven accumulators live in lane registers across
 /// the whole batch, and the j side arrives as scalar broadcasts.
 ///
@@ -190,7 +215,7 @@ unsafe fn block_lanes<L: Lanes>(
 ) -> Result<Vec<PartialForce>, BlockFpError> {
     #[inline(always)]
     unsafe fn q<L: Lanes>(x: L::F) -> L::F {
-        quantize_lanes::<L>(x, PIPE_SIG_BITS)
+        quantize_lanes_finite::<L>(x, PIPE_SIG_BITS)
     }
     /// One value per lane, staged for a lane load.
     #[inline(always)]
@@ -250,7 +275,12 @@ unsafe fn block_lanes<L: Lanes>(
         let mut ljz = LaneAccum::<L>::new();
         let mut lp = LaneAccum::<L>::new();
 
-        let mut tripped = false;
+        // The quantiser's precondition (module docs): no NaN among the
+        // batch's words or this group's registers, else the oracle runs it.
+        let mut tripped = batch.any_nan
+            || i_regs[g0..g0 + n_real]
+                .iter()
+                .any(|ip| ip.eps2.is_nan() || ip.vel.iter().any(|v| v.is_nan()));
         let mut j0 = 0;
         while j0 < n && !tripped {
             let end = (j0 + CHUNK).min(n);
@@ -326,7 +356,8 @@ unsafe fn block_lanes<L: Lanes>(
         if tripped {
             // Discard the group.  The oracle decides, in ascending i:
             // a lower lane that would only trip in a later chunk still
-            // outranks the lane that stopped this one.
+            // outranks the lane that stopped this one; a NaN group may
+            // also come back `Ok`.
             for k in g0..g0 + n_real {
                 let nb_k = nb.as_mut().map(|(h2, lists)| (h2[k], &mut lists[k]));
                 match scalar_row(rsqrt, &i_regs[k], predicted, exps[k], nb_k) {
@@ -754,6 +785,61 @@ mod tests {
             // Alone in its block, every other lane a copy of it.
             assert_block_err(&i_regs[bad..=bad], &exps[bad..=bad], &predicted, want);
         }
+    }
+
+    #[test]
+    fn nan_inputs_take_the_oracle_path_at_every_level() {
+        // A NaN whose low bits are all ones: the select-free quantiser
+        // would carry it into −0.0, so only the NaN check keeps it a NaN.
+        let nan = f64::from_bits(0x7fff_ffff_ffff_ffff);
+        let clean = predicted_set(40, 0.0);
+        // Eleven registers: on every instance the last group is
+        // {8, 9, 10}, and register 9 sits mid-way through it.
+        let (i_regs, exps, h2) = block_inputs(11, &clean);
+        oracle(&i_regs, &exps, &clean, Some(&h2)).unwrap();
+        let mut cases: Vec<(&str, Vec<HwIParticle>, Vec<PredictedJ>)> = Vec::new();
+        let mut p = clean.clone();
+        p[17].vel[1] = nan;
+        cases.push(("j velocity", i_regs.clone(), p));
+        let mut p = clean.clone();
+        p[17].mass = nan;
+        cases.push(("j mass", i_regs.clone(), p));
+        let mut regs = i_regs.clone();
+        regs[9].vel[2] = nan;
+        cases.push(("i velocity", regs, clean.clone()));
+        let mut regs = i_regs.clone();
+        regs[9].eps2 = nan;
+        cases.push(("i eps2", regs, clean.clone()));
+        let mut outcomes = (0, 0);
+        for (what, regs, predicted) in &cases {
+            let want = oracle(regs, &exps, predicted, Some(&h2));
+            match &want {
+                Ok(_) => outcomes.0 += 1,
+                Err(_) => outcomes.1 += 1,
+            }
+            for_each_entry(|e| {
+                let label = format!("NaN in {what}, {}", e.label);
+                let mut lists = vec![vec![u32::MAX]; regs.len()];
+                let plain = e.block(regs, &exps, predicted, None);
+                let nb = e.block(regs, &exps, predicted, Some((&h2, &mut lists)));
+                match &want {
+                    Ok((forces, want_nb)) => {
+                        for got in [plain.unwrap(), nb.unwrap()] {
+                            for (g, w) in got.iter().zip(forces) {
+                                assert_pf_bits_equal(g, w, &label);
+                            }
+                        }
+                        assert_eq!(&lists, want_nb, "neighbour lists ({label})");
+                    }
+                    Err(w) => {
+                        assert_eq!(plain.unwrap_err(), *w, "{label}");
+                        assert_eq!(nb.unwrap_err(), *w, "nb, {label}");
+                        assert!(lists.iter().all(Vec::is_empty), "list left ({label})");
+                    }
+                }
+            });
+        }
+        assert!(outcomes.0 > 0 && outcomes.1 > 0, "both outcomes covered");
     }
 
     #[test]

@@ -651,12 +651,13 @@ impl Grape6Engine {
     /// One i-chunk through the hardware with the full recovery ladder:
     /// exponent-overflow → widen and retry (bounded); corrupted reduction →
     /// recompute as-is (bounded); insane output → recompute (bounded).
-    #[allow(clippy::type_complexity)]
+    /// With `h2` the second half is one neighbour list per register;
+    /// without it, empty.
     fn run_chunk(
         &mut self,
         regs: &[HwIParticle],
         h2: Option<&[f64]>,
-    ) -> Result<(Vec<PartialForce>, Option<Vec<Vec<u32>>>), EngineError> {
+    ) -> Result<(Vec<PartialForce>, Vec<Vec<u32>>), EngineError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
@@ -699,11 +700,11 @@ impl Grape6Engine {
                 None => self
                     .hw
                     .compute_block(regs, &exps)
-                    .map(|partials| (partials, None)),
+                    .map(|partials| (partials, Vec::new())),
                 Some(h2) => self
                     .hw
                     .compute_block_nb(regs, &exps, h2, &mut nb_lists)
-                    .map(|partials| (partials, Some(std::mem::take(&mut nb_lists)))),
+                    .map(|partials| (partials, std::mem::take(&mut nb_lists))),
             };
             // The hardware ran a pass whatever the outcome; charge its
             // critical-path cycles under the attempt's phase tag.
@@ -870,6 +871,11 @@ impl ForceEngine for Grape6Engine {
         self.n_slots
     }
 
+    /// # Panics
+    /// On every error of [`Grape6Engine::try_set_j_particle_checked`] (the
+    /// trait's `try_set_j_particle` is the same check): an address past the
+    /// slots, a coordinate outside the ±64 box or NaN, a failed hardware
+    /// write.
     fn set_j_particle(&mut self, addr: usize, p: &JParticle) {
         if let Err(e) = self.try_set_j_particle_checked(addr, p) {
             panic!("{e}");
@@ -885,6 +891,10 @@ impl ForceEngine for Grape6Engine {
         self.hw.set_time(t);
     }
 
+    /// # Panics
+    /// On every error of [`Grape6Engine::try_compute_forces`] (the trait's
+    /// `try_compute`): mismatched buffers, retry exhaustion, a hardware
+    /// fault, a poisoned engine.
     fn compute(&mut self, i: &[IParticle], out: &mut [ForceResult]) {
         if let Err(e) = self.try_compute_forces(i, out) {
             panic!("{e}");
@@ -927,6 +937,9 @@ impl Grape6Engine {
     /// the global j-addresses with unsoftened `r² < h2[k]`, as detected by
     /// the pipeline comparators — the hardware service behind the
     /// Ahmad–Cohen scheme's bookkeeping on the real machine.
+    ///
+    /// # Panics
+    /// On every error of [`Grape6Engine::try_compute_with_neighbours`].
     pub fn compute_with_neighbours(
         &mut self,
         i: &[IParticle],
@@ -975,7 +988,7 @@ impl Grape6Engine {
                 *o = p.to_force_result();
             }
             self.update_mags(chunk_o);
-            all_lists.extend(lists.expect("nb path returns lists"));
+            all_lists.extend(lists);
         }
         Ok(all_lists)
     }
