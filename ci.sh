@@ -18,9 +18,8 @@ echo "==> cargo test -q --locked --workspace"
 # evicted, every finisher on the unfaulted digest.
 cargo test -q --locked --workspace
 
-echo "==> cargo clippy --workspace (lib, bins, tests, examples) -- -D warnings"
-# Benches stay out: they need the real `criterion`.
-cargo clippy --workspace --lib --bins --tests --examples --locked -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --locked -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps --locked (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --quiet
@@ -68,6 +67,12 @@ echo "==> sync ablation (release): butterfly vs central barrier, 3 NICs x 4/16 h
 # barrier is slower than the butterfly (an empty coalesced wave) on every
 # NIC x p row, both measured frame for frame on the virtual fabric.
 cargo run --release --locked -p grape6-bench --bin ablation_sync
+
+echo "==> block-FP ablation (release): f64 vs Kahan vs block-FP sums"
+# §3.4's reason for block FP: exits 1 unless the block-FP sum is
+# bit-identical over every reordering of its input (the f64 and Kahan sums
+# are reported beside it, with ns per add for all three).
+cargo run --release --locked -p grape6-bench --bin ablation_blockfp
 
 echo "==> example smoke tests (release)"
 cargo run --release --locked --example quickstart

@@ -336,6 +336,25 @@ pub fn coalesced_wave<T: Transport>(
     Ok(w.outcome())
 }
 
+/// Point-to-point records: one [`Frame::Data`] to `to` carrying
+/// `records` in the wave's record layout ([`JRecord::encode_seq`]).
+pub fn send_records<T: Transport>(
+    tr: &mut T,
+    to: usize,
+    records: &[JRecord],
+) -> Result<(), TransportError> {
+    tr.send_frame(to, &Frame::Data(JRecord::encode_seq(records)))
+}
+
+/// Receive what [`send_records`] sent from `from`; any other frame, or
+/// a payload that is not a record sequence, is a protocol error.
+pub fn recv_records<T: Transport>(tr: &mut T, from: usize) -> Result<Vec<JRecord>, TransportError> {
+    match tr.recv_frame(from)? {
+        Frame::Data(bytes) => Ok(JRecord::decode_seq(&bytes)?),
+        _ => Err(TransportError::Protocol("record frame expected")),
+    }
+}
+
 /// Central-coordinator barrier over any [`Transport`]: every rank reports
 /// to rank 0 with a stage-0 frame, and rank 0 releases everyone with a
 /// stage-1 frame once all p − 1 reports are in — 2(p − 1) serialised
@@ -759,6 +778,27 @@ mod tests {
                 ))
             );
         }
+    }
+
+    #[test]
+    fn point_to_point_records_arrive_bitwise_and_refuse_other_frames() {
+        let sent = vec![rec(9, -0.0), rec(3, f64::MAX)];
+        let out = run_ranks::<Vec<u8>, _, _>(2, LinkProfile::ideal(), |mut ep| {
+            let mut tr = VirtualTransport::new(&mut ep);
+            if tr.rank() == 0 {
+                send_records(&mut tr, 1, &sent).unwrap();
+                let beat = Frame::Heartbeat { gen: 0, epoch: 1 };
+                tr.send_frame(1, &beat).unwrap();
+                None
+            } else {
+                let got = recv_records(&mut tr, 0);
+                // The peer's next frame is a heartbeat, not records.
+                Some((got, recv_records(&mut tr, 0)))
+            }
+        });
+        let (got, beat) = out.into_iter().nth(1).flatten().unwrap();
+        assert_eq!(got, Ok(sent));
+        assert_eq!(beat, Err(TransportError::Protocol("record frame expected")));
     }
 
     #[test]

@@ -476,34 +476,6 @@ where
     })
 }
 
-/// Ring all-gather: every rank contributes `mine` and gets back the
-/// contributions of all ranks, indexed by rank.  `bytes` is the wire size
-/// of one contribution; p − 1 shifts to the right neighbour, each charged
-/// at the link's bandwidth.  A dead or lossy link surfaces as the typed
-/// [`RecvError`] of the receive that observed it.
-pub fn allgather<T: Send + Clone>(
-    ep: &mut Endpoint<T>,
-    mine: T,
-    bytes: usize,
-) -> Result<Vec<T>, RecvError> {
-    let p = ep.n_ranks();
-    let me = ep.rank();
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    // Forward the piece received last round.  Pieces arrive in descending
-    // source order (me, me−1, …, me−p+1 mod p); reversing and rotating
-    // yields the rank-indexed layout without `Option` holes.
-    let mut out: Vec<T> = Vec::with_capacity(p);
-    out.push(mine);
-    for round in 0..p - 1 {
-        ep.send_lossy(right, out[round].clone(), bytes);
-        out.push(ep.recv_checked(left)?);
-    }
-    out.reverse();
-    out.rotate_right((me + 1) % p);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,73 +723,5 @@ mod tests {
             out[1].unwrap().to_string(),
             "rank 0 is down (observed by rank 1)"
         );
-    }
-
-    #[test]
-    fn allgather_returns_rank_indexed_in_p_minus_one_sends() {
-        for p in [1usize, 2, 3, 4, 5, 6, 7, 8] {
-            let out =
-                run_ranks::<usize, (Vec<usize>, u64, u64), _>(p, LinkProfile::ideal(), |mut ep| {
-                    let mine = ep.rank() * 10;
-                    let all = allgather(&mut ep, mine, 8).unwrap();
-                    (all, ep.messages_sent(), ep.bytes_sent())
-                });
-            for (r, (all, messages, bytes)) in out.into_iter().enumerate() {
-                assert_eq!(all, (0..p).map(|k| k * 10).collect::<Vec<_>>(), "p={p}");
-                // Ring: p − 1 shifts of one contribution each.
-                assert_eq!(messages, (p - 1) as u64, "p={p} rank {r}");
-                assert_eq!(bytes, 8 * (p - 1) as u64, "p={p} rank {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_charges_bandwidth() {
-        // With a slow link, the ring must cost ≥ (p−1)·bytes/bw.
-        let link = LinkProfile {
-            latency: 0.0,
-            bandwidth: 1.0e6,
-            overhead: 0.0,
-        };
-        let bytes = 100_000; // 0.1 s per hop
-        let clocks = run_ranks::<u8, f64, _>(4, link, move |mut ep| {
-            allgather(&mut ep, 0, bytes).unwrap();
-            ep.clock()
-        });
-        for &c in &clocks {
-            assert!(c >= 0.3 - 1e-9, "clock {c} below ring lower bound");
-            assert!(c < 0.5, "clock {c} above plausible ring cost");
-        }
-    }
-
-    #[test]
-    fn allgather_over_a_dead_or_lossy_link_is_a_typed_error() {
-        // Rank 1 dies: the ring through it is severed, and every survivor
-        // observes a Down at its own receive — never a panic.
-        let out = run_ranks::<f64, Option<RecvError>, _>(3, LinkProfile::ideal(), |mut ep| {
-            if ep.rank() == 1 {
-                return None;
-            }
-            let mine = ep.rank() as f64;
-            Some(allgather(&mut ep, mine, 8).unwrap_err())
-        });
-        for (r, e) in out.iter().enumerate() {
-            let Some(e) = e else { continue };
-            match e {
-                RecvError::Down { to, .. } => assert_eq!(*to, r),
-                other => panic!("rank {r}: expected Down, got {other:?}"),
-            }
-        }
-        // 100% drop, 2-attempt budget: the first shift times out as Lost.
-        let plan = NetFaultPlan::lossy(9, 1000, 2, 1e-4);
-        let errs = run_ranks_faulty::<u8, RecvError, _>(2, LinkProfile::ideal(), plan, |mut ep| {
-            allgather(&mut ep, 0, 8).unwrap_err()
-        });
-        for (r, e) in errs.iter().enumerate() {
-            match e {
-                RecvError::Lost(le) => assert_eq!((le.to, le.attempts), (r, 2)),
-                other => panic!("rank {r}: expected Lost, got {other:?}"),
-            }
-        }
     }
 }

@@ -17,9 +17,9 @@
 //!   *wire size*, and each receive advances the receiver's **virtual
 //!   clock** to `max(own clock, send time + transfer time)` — conservative
 //!   discrete-event simulation at rank granularity, with real payloads and
-//!   real concurrency but simulated time.  [`fabric::allgather`] is the
-//!   ring all-gather the ring and 2-D grid force algorithms of
-//!   `grape6-parallel` assemble their results with.
+//!   real concurrency but simulated time.  Every rank algorithm in the
+//!   workspace sends it the encoded bytes of [`wire::Frame`]s, through
+//!   [`transport::VirtualTransport`].
 //!
 //! The fabric can also be run *unreliable*: [`fabric::run_ranks_faulty`]
 //! applies a seeded [`grape6_fault::NetFaultPlan`] — deterministic drops,
@@ -39,7 +39,11 @@
 //!   bitwise identical across schedules and backends.  It is also the
 //!   one barrier: an empty wave is the paper's "butterfly message
 //!   exchange", measured against [`exchange::central_barrier`], the
-//!   MPICH/p4-shaped coordinator, on any transport.
+//!   MPICH/p4-shaped coordinator, on any transport.  It is also the one
+//!   gather: every `grape6-parallel` algorithm assembles its result with
+//!   a wave, and [`exchange::send_records`] / [`exchange::recv_records`]
+//!   carry the same records point to point (a ring shift, a row
+//!   reduction) as one [`wire::Frame::Data`].
 //!
 //! Nothing here knows about particles; `grape6-parallel` composes this
 //! fabric with the machine simulator to run the paper's parallel
@@ -57,10 +61,10 @@ pub use cluster::{
     ClusterApp, ClusterConfig, ClusterError, ClusterReport, ClusterSupervisor, FaultKind,
     GroupTransport, Manifest,
 };
-pub use exchange::{central_barrier, coalesced_wave, Wave, WaveOutcome};
-pub use fabric::{
-    allgather, run_ranks, run_ranks_faulty, Endpoint, EndpointStats, LinkError, RecvError,
+pub use exchange::{
+    central_barrier, coalesced_wave, recv_records, send_records, Wave, WaveOutcome,
 };
+pub use fabric::{run_ranks, run_ranks_faulty, Endpoint, EndpointStats, LinkError, RecvError};
 pub use failover::{Group, RankMonitor};
 pub use link::LinkProfile;
 pub use transport::{

@@ -34,6 +34,49 @@ impl JRecord {
     pub fn encoded_len(&self) -> usize {
         16 + 8 * self.words.len()
     }
+
+    /// A record sequence as a [`Frame::Data`] payload, in the layout a
+    /// [`Frame::Stage`] carries its records.
+    pub fn encode_seq(records: &[JRecord]) -> Vec<u8> {
+        let mut e = Enc::new();
+        put_records(&mut e, records);
+        e.into_bytes()
+    }
+
+    /// Decode what [`Self::encode_seq`] wrote, requiring full consumption.
+    pub fn decode_seq(buf: &[u8]) -> Result<Vec<JRecord>, WireError> {
+        let mut d = Dec::new(buf);
+        let records = take_records(&mut d)?;
+        d.finish()?;
+        Ok(records)
+    }
+}
+
+/// The one record layout: the count, then each record's index and its
+/// length-prefixed words.
+fn put_records(e: &mut Enc, records: &[JRecord]) {
+    e.size(records.len());
+    for r in records {
+        e.u64(r.index);
+        e.seq_u64(&r.words);
+    }
+}
+
+/// Read a sequence [`put_records`] wrote.
+fn take_records(d: &mut Dec) -> Result<Vec<JRecord>, WireError> {
+    let n = d.size()?;
+    // Each record is ≥ 16 bytes on the wire; reject a length prefix the
+    // remaining payload cannot possibly hold.
+    if n.checked_mul(16).ok_or(WireError::Oversize)? > d.remaining() {
+        return Err(WireError::Oversize);
+    }
+    let mut records = Vec::with_capacity(n);
+    for _ in 0..n {
+        let index = d.u64()?;
+        let words = d.seq_u64()?;
+        records.push(JRecord { index, words });
+    }
+    Ok(records)
 }
 
 /// A wire message.
@@ -165,11 +208,7 @@ impl Frame {
                 e.u64(t_min.to_bits());
                 e.u64(*ckpt);
                 e.u64(*pad);
-                e.size(records.len());
-                for r in records {
-                    e.u64(r.index);
-                    e.seq_u64(&r.words);
-                }
+                put_records(&mut e, records);
             }
             Frame::Data(b) => {
                 e.u32(TAG_DATA);
@@ -211,18 +250,7 @@ impl Frame {
                 let t_min = f64::from_bits(d.u64()?);
                 let ckpt = d.u64()?;
                 let pad = d.u64()?;
-                let n = d.size()?;
-                // Each record is ≥ 16 bytes on the wire; reject a length
-                // prefix the remaining payload cannot possibly hold.
-                if n.checked_mul(16).ok_or(WireError::Oversize)? > d.remaining() {
-                    return Err(WireError::Oversize);
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let index = d.u64()?;
-                    let words = d.seq_u64()?;
-                    records.push(JRecord { index, words });
-                }
+                let records = take_records(&mut d)?;
                 Frame::Stage {
                     gen,
                     step,
@@ -313,6 +341,40 @@ mod tests {
         assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
         let empty = Frame::Data(vec![]);
         assert_eq!(Frame::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn record_sequences_roundtrip_in_the_stage_layout() {
+        let records = vec![
+            JRecord {
+                index: 5,
+                words: vec![(-0.0_f64).to_bits(), f64::NAN.to_bits()],
+            },
+            JRecord {
+                index: 1,
+                words: vec![],
+            },
+        ];
+        let bytes = JRecord::encode_seq(&records);
+        assert_eq!(JRecord::decode_seq(&bytes).unwrap(), records);
+        // A stage frame's tail is the same bytes.
+        let stage = Frame::Stage {
+            gen: 0,
+            step: 0,
+            stage: 0,
+            t_min: 0.0,
+            ckpt: 0,
+            records: records.clone(),
+            pad: 0,
+        }
+        .encode();
+        assert!(stage.ends_with(&bytes));
+        for cut in 0..bytes.len() {
+            assert!(JRecord::decode_seq(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(JRecord::decode_seq(&long), Err(WireError::Trailing));
     }
 
     #[test]

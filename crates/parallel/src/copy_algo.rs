@@ -141,7 +141,7 @@ pub fn run_copy_parallel_segment(
 ) -> CopyRunResult {
     let n = set.n();
     let per_entry = n as f64 * cfg.t_pair + cfg.t_host_step;
-    let results = run_ranks::<Vec<u8>, _, _>(p, cfg.link, |mut ep| {
+    let mut results = run_ranks::<Vec<u8>, _, _>(p, cfg.link, |mut ep| {
         let mut tr = VirtualTransport::new(&mut ep);
         // A virtual rank's compute costs virtual time, charged before
         // each wave for the entries this rank corrected.
@@ -152,8 +152,9 @@ pub fn run_copy_parallel_segment(
             seg,
             &mut tr,
             |tr, k| tr.endpoint().advance(k as f64 * per_entry),
-        )
-        .expect("lossless fabric, infallible engine");
+        );
+        // The virtual fabric is lossless and the f64 engine cannot fail.
+        let it = it.expect("lossless fabric, infallible engine");
         (
             it.particles().clone(),
             it.stats().clone(),
@@ -163,10 +164,10 @@ pub fn run_copy_parallel_segment(
     });
     let clocks = results.iter().map(|r| r.2).collect();
     let bytes_sent = results.iter().map(|r| r.3).collect();
-    let first = results.into_iter().next().unwrap();
+    let (set, stats, ..) = results.swap_remove(0);
     CopyRunResult {
-        set: first.0,
-        stats: first.1,
+        set,
+        stats,
         clocks,
         bytes_sent,
     }

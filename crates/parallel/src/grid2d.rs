@@ -14,22 +14,27 @@
 //! the same row store the same particles, columns receive the same
 //! i-particles, the network boards reduce); this module is the host-grid
 //! software variant, used both as an algorithm reference and to validate
-//! the communication model.
+//! the communication model.  The row reduction is one
+//! [`Frame::Data`](grape6_net::wire::Frame::Data) of force records per
+//! off-diagonal rank; one wave, to which only the diagonal ranks
+//! contribute, assembles the force vector on every rank.
 
-use grape6_net::fabric::{allgather, run_ranks};
+use grape6_net::exchange::{recv_records, send_records};
+use grape6_net::fabric::run_ranks;
 use grape6_net::link::LinkProfile;
+use grape6_net::transport::{Transport, TransportError, VirtualTransport};
 use nbody_core::force::{pair_force, ForceResult};
 use nbody_core::Vec3;
 
 use crate::partition::chunk_ranges;
+use crate::records::{check_block, force, force_record, gather_forces, FORCE_WORDS};
 
-/// Wire payload: a vector of partial forces for one subset.
-type Partial = Vec<ForceResult>;
-
-/// Compute the full force vector with the r×r grid algorithm.
+/// Compute the full force vector with the r×r grid algorithm on the
+/// virtual-time fabric.
 ///
-/// Returns the assembled forces (as seen by the diagonal ranks) and the
-/// per-rank virtual clocks, rank-major by `(i, j) = (rank / r, rank % r)`.
+/// Returns the assembled forces (identical on every rank; rank 0's copy)
+/// and the per-rank virtual clocks, rank-major by
+/// `(i, j) = (rank / r, rank % r)`.
 pub fn grid2d_forces(
     mass: &[f64],
     pos: &[Vec3],
@@ -39,83 +44,81 @@ pub fn grid2d_forces(
     link: LinkProfile,
     t_pair: f64,
 ) -> (Vec<ForceResult>, Vec<f64>) {
-    assert!(r >= 1);
-    let n = mass.len();
-    let p = r * r;
+    let results = run_ranks::<Vec<u8>, _, _>(r * r, link, |mut ep| {
+        let mut tr = VirtualTransport::new(&mut ep);
+        let forces = grid2d_rank(mass, pos, vel, eps2, &mut tr, |tr, k| {
+            tr.endpoint().advance(k as f64 * t_pair)
+        });
+        // Every rank runs this code on a lossless fabric.
+        (forces.expect("lossless fabric"), ep.clock())
+    });
+    let (mut forces, clocks): (Vec<_>, _) = results.into_iter().unzip();
+    (forces.swap_remove(0), clocks)
+}
+
+/// One rank of the r×r grid over `tr` (r² ranks); returns the force on
+/// every particle.  `charge(tr, k)` runs once, after the local partial
+/// forces, with the count of pairwise interactions behind them.
+///
+/// # Panics
+///
+/// If the rank count is not a square.
+pub fn grid2d_rank<T: Transport>(
+    mass: &[f64],
+    pos: &[Vec3],
+    vel: &[Vec3],
+    eps2: f64,
+    tr: &mut T,
+    mut charge: impl FnMut(&mut T, u64),
+) -> Result<Vec<ForceResult>, TransportError> {
+    let (n, p, rank) = (mass.len(), tr.n_ranks(), tr.rank());
+    let r = p.isqrt();
+    assert_eq!(r * r, p, "the 2-D grid needs a square rank count");
     let ranges = chunk_ranges(n, r);
-    let results = run_ranks::<Partial, (Option<Vec<ForceResult>>, f64), _>(p, link, |mut ep| {
-        let rank = ep.rank();
-        let (gi, gj) = (rank / r, rank % r);
-        let targets = ranges[gi].clone();
-        let sources = ranges[gj].clone();
-        // Local O((N/r)²) partial computation.
-        let mut partial: Partial = vec![ForceResult::default(); targets.len()];
-        let mut interactions = 0u64;
-        for (k, ti) in targets.clone().enumerate() {
-            let out = &mut partial[k];
-            for sj in sources.clone() {
-                if sj == ti {
-                    continue;
-                }
-                let (a, jr, p_) = pair_force(pos[sj] - pos[ti], vel[sj] - vel[ti], mass[sj], eps2);
-                out.acc += a;
-                out.jerk += jr;
-                out.pot += p_;
-                interactions += 1;
-            }
-        }
-        ep.advance(interactions as f64 * t_pair);
-        // Row reduction onto the diagonal rank (gi, gi).
-        let diag = gi * r + gi;
-        let bytes = partial.len() * 56;
-        let mine = if rank != diag {
-            ep.send_lossy(diag, partial, bytes);
-            Vec::new() // non-diagonals contribute empty payloads below
-        } else {
-            let mut total = partial;
-            for j in 0..r {
-                if j == gi {
-                    continue;
-                }
-                let from = gi * r + j;
-                let incoming = ep.recv_checked(from).expect("lossless fabric");
-                for (t, inc) in total.iter_mut().zip(&incoming) {
-                    t.acc += inc.acc;
-                    t.jerk += inc.jerk;
-                    t.pot += inc.pot;
-                }
-            }
-            total
-        };
-        // Everyone participates in the assembly allgather (only diagonal
-        // payloads carry data).
-        let gathered = allgather(
-            &mut ep,
-            mine.clone(),
-            if mine.is_empty() { 8 } else { bytes },
-        )
-        .expect("lossless fabric");
-        if rank != diag {
-            return (None, ep.clock());
-        }
-        let mut out = vec![ForceResult::default(); n];
-        for (src_rank, part) in gathered.iter().enumerate() {
-            let (si, sj) = (src_rank / r, src_rank % r);
-            if si != sj {
+    let (gi, gj) = (rank / r, rank % r);
+    let targets = ranges[gi].clone();
+    // Local O((N/r)²) partial computation.
+    let mut partial = vec![ForceResult::default(); targets.len()];
+    let mut interactions = 0u64;
+    for (out, ti) in partial.iter_mut().zip(targets.clone()) {
+        for sj in ranges[gj].clone() {
+            if sj == ti {
                 continue;
             }
-            for (k, v) in part.iter().enumerate() {
-                out[ranges[si].start + k] = *v;
+            let (a, jr, p_) = pair_force(pos[sj] - pos[ti], vel[sj] - vel[ti], mass[sj], eps2);
+            out.acc += a;
+            out.jerk += jr;
+            out.pot += p_;
+            interactions += 1;
+        }
+    }
+    charge(tr, interactions);
+    // Row reduction onto the diagonal rank (gi, gi), summed in j order.
+    let diag = gi * r + gi;
+    let records = |forces: &[ForceResult]| -> Vec<_> {
+        targets
+            .clone()
+            .zip(forces)
+            .map(|(i, f)| force_record(i, f))
+            .collect()
+    };
+    let mine = if rank != diag {
+        send_records(tr, diag, &records(&partial))?;
+        Vec::new() // only the diagonal ranks contribute to the assembly
+    } else {
+        for j in (0..r).filter(|&j| j != gi) {
+            let incoming = recv_records(tr, gi * r + j)?;
+            check_block(&incoming, targets.clone(), FORCE_WORDS)?;
+            for (t, inc) in partial.iter_mut().zip(&incoming) {
+                let inc = force(&inc.words);
+                t.acc += inc.acc;
+                t.jerk += inc.jerk;
+                t.pot += inc.pot;
             }
         }
-        (Some(out), ep.clock())
-    });
-    let clocks: Vec<f64> = results.iter().map(|(_, c)| *c).collect();
-    let forces = results
-        .into_iter()
-        .find_map(|(f, _)| f)
-        .expect("diagonal rank 0 assembles the force vector");
-    (forces, clocks)
+        records(&partial)
+    };
+    gather_forces(tr, n, mine)
 }
 
 #[cfg(test)]

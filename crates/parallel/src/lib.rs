@@ -21,24 +21,30 @@
 //!   of its resident subset on every passing block.
 //! * [`grid2d`] — the **2-D hybrid** algorithm of Makino (2002): ranks form
 //!   an r×r grid, rank (i,j) computes forces on subset i from subset j,
-//!   partial forces are reduced along columns, and updates are broadcast
-//!   along rows and columns.  "The amount of communication for one node is
-//!   O(N/r)… the communication speed is improved by a factor proportional
-//!   to the square root of the number of processors."
+//!   and partial forces are reduced along rows onto the diagonal.  "The
+//!   amount of communication for one node is O(N/r)… the communication
+//!   speed is improved by a factor proportional to the square root of the
+//!   number of processors."
 //!
-//!   Ring and grid compute forces only, over the virtual-time fabric.
+//!   Ring and grid compute forces only, in the copy algorithm's shape: one
+//!   generic rank function each ([`ring_rank`], [`grid2d_rank`]) over any
+//!   `Transport`, sending force records as `Frame`s (a ring shift, a row
+//!   reduction) and assembling the force vector on every rank with one
+//!   wave.  [`ring_forces`] and [`grid2d_forces`] run them on the
+//!   virtual-time fabric; over sockets their forces are the same bits.
 //!
 //! * [`partition`] — the index arithmetic shared by all three.
 
 pub mod copy_algo;
 pub mod grid2d;
 pub mod partition;
+mod records;
 pub mod ring_algo;
 
 pub use copy_algo::{
     run_copy_parallel, run_copy_parallel_segment, run_copy_rank, CopyConfig, CopyError,
     CopyRunResult, CopySegment,
 };
-pub use grid2d::grid2d_forces;
+pub use grid2d::{grid2d_forces, grid2d_rank};
 pub use partition::chunk_ranges;
-pub use ring_algo::ring_forces;
+pub use ring_algo::{ring_forces, ring_rank};

@@ -10,36 +10,30 @@
 //! Here the full force round is implemented: every rank's subset acts as
 //! the travelling i-block; in round k each rank computes the force of its
 //! resident j-subset on the block currently visiting, then forwards the
-//! block (with its partial sums) to the right neighbour.  After p rounds
-//! every block has visited every rank; a final all-gather assembles the
-//! global force vector.
+//! block (with its partial sums) to the right neighbour as one
+//! [`Frame::Data`](grape6_net::wire::Frame::Data) of records.  After p
+//! rounds every block is home, and one wave assembles the global force
+//! vector on every rank.
 
-use grape6_net::fabric::{allgather, run_ranks, Endpoint};
+use grape6_net::exchange::{recv_records, send_records};
+use grape6_net::fabric::run_ranks;
 use grape6_net::link::LinkProfile;
+use grape6_net::transport::{Transport, TransportError, VirtualTransport};
+use grape6_net::wire::JRecord;
 use nbody_core::force::{pair_force, ForceResult};
 use nbody_core::Vec3;
 
 use crate::partition::chunk_ranges;
+use crate::records::{check_block, force, force_words, gather_forces, vec3, FORCE_WORDS};
 
-/// A travelling i-block: global indices, phase-space data, partial forces.
-#[derive(Clone, Default)]
-pub struct TravellingBlock {
-    idx: Vec<usize>,
-    pos: Vec<Vec3>,
-    vel: Vec<Vec3>,
-    forces: Vec<ForceResult>,
-}
-
-impl TravellingBlock {
-    fn wire_bytes(&self) -> usize {
-        // idx 8 + pos 24 + vel 24 + force 56 per particle.
-        self.idx.len() * 112
-    }
-}
+/// Words per travelling record: pos and vel (three each), then the
+/// partial force.
+const TRAVEL_WORDS: usize = 6 + FORCE_WORDS;
 
 /// Compute acceleration/jerk/potential on every particle with the ring
-/// algorithm over `p` ranks; returns the force vector (identical content on
-/// every rank; rank 0's copy is returned) and the per-rank virtual clocks.
+/// algorithm over `p` ranks of the virtual-time fabric; returns the force
+/// vector (identical content on every rank; rank 0's copy is returned)
+/// and the per-rank virtual clocks.
 ///
 /// `t_pair` is the virtual cost of one pairwise interaction on a rank.
 pub fn ring_forces(
@@ -51,72 +45,79 @@ pub fn ring_forces(
     link: LinkProfile,
     t_pair: f64,
 ) -> (Vec<ForceResult>, Vec<f64>) {
-    let n = mass.len();
-    let ranges = chunk_ranges(n, p);
-    let results = run_ranks::<TravellingBlock, (Vec<ForceResult>, f64), _>(p, link, |mut ep| {
-        let r = ep.rank();
-        let mine = ranges[r].clone();
-        // Start with my own subset as the travelling block.
-        let mut block = TravellingBlock {
-            idx: mine.clone().collect(),
-            pos: mine.clone().map(|i| pos[i]).collect(),
-            vel: mine.clone().map(|i| vel[i]).collect(),
-            forces: vec![ForceResult::default(); mine.len()],
-        };
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-        for round in 0..p {
-            accumulate(&mut block, &mine, mass, pos, vel, eps2, &mut ep, t_pair);
-            // Forward — the last round's shift returns each block home.
-            if p > 1 {
-                let bytes = block.wire_bytes();
-                ep.send_lossy(right, block, bytes);
-                block = ep.recv_checked(left).expect("lossless fabric");
-            }
-            let _ = round;
-        }
-        // Blocks are home: assemble the global vector.
-        let gathered = allgather(&mut ep, block, 112 * (n / p + 1)).expect("lossless fabric");
-        let mut out = vec![ForceResult::default(); n];
-        for b in &gathered {
-            for (k, &gi) in b.idx.iter().enumerate() {
-                out[gi] = b.forces[k];
-            }
-        }
-        (out, ep.clock())
+    let results = run_ranks::<Vec<u8>, _, _>(p, link, |mut ep| {
+        let mut tr = VirtualTransport::new(&mut ep);
+        let forces = ring_rank(mass, pos, vel, eps2, &mut tr, |tr, k| {
+            tr.endpoint().advance(k as f64 * t_pair)
+        });
+        // Every rank runs this code on a lossless fabric.
+        (forces.expect("lossless fabric"), ep.clock())
     });
-    let clocks = results.iter().map(|(_, c)| *c).collect();
-    (results.into_iter().next().unwrap().0, clocks)
+    let (mut forces, clocks): (Vec<_>, _) = results.into_iter().unzip();
+    (forces.swap_remove(0), clocks)
 }
 
-/// One systolic compute step: my j-subset acting on the visiting block.
-#[allow(clippy::too_many_arguments)]
-fn accumulate(
-    block: &mut TravellingBlock,
-    mine: &std::ops::Range<usize>,
+/// One rank of the ring algorithm over `tr`; returns the force on every
+/// particle.  `charge(tr, k)` runs after each round with the count of
+/// pairwise interactions this rank computed in it (virtual time; a real
+/// backend has spent real time).
+pub fn ring_rank<T: Transport>(
     mass: &[f64],
     pos: &[Vec3],
     vel: &[Vec3],
     eps2: f64,
-    ep: &mut Endpoint<TravellingBlock>,
-    t_pair: f64,
-) {
-    let mut interactions = 0u64;
-    for (k, &gi) in block.idx.iter().enumerate() {
-        let (bp, bv) = (block.pos[k], block.vel[k]);
-        let f = &mut block.forces[k];
-        for j in mine.clone() {
-            if j == gi {
-                continue; // the self-pair is skipped, as in the serial code
+    tr: &mut T,
+    mut charge: impl FnMut(&mut T, u64),
+) -> Result<Vec<ForceResult>, TransportError> {
+    let (n, p, rank) = (mass.len(), tr.n_ranks(), tr.rank());
+    let ranges = chunk_ranges(n, p);
+    let mine = ranges[rank].clone();
+    // Start with my own subset as the travelling block.
+    let zero = ForceResult::default();
+    let mut block: Vec<JRecord> = mine
+        .clone()
+        .map(|i| travelling(i, pos, vel, &zero))
+        .collect();
+    for shift in 1..=p {
+        let mut interactions = 0u64;
+        for rec in &mut block {
+            let gi = rec.index as usize;
+            let (bp, bv) = (vec3(&rec.words), vec3(&rec.words[3..]));
+            let mut f = force(&rec.words[6..]);
+            for j in mine.clone() {
+                if j == gi {
+                    continue; // the self-pair is skipped, as in the serial code
+                }
+                let (a, jr, p_) = pair_force(pos[j] - bp, vel[j] - bv, mass[j], eps2);
+                f.acc += a;
+                f.jerk += jr;
+                f.pot += p_;
+                interactions += 1;
             }
-            let (a, jr, p_) = pair_force(pos[j] - bp, vel[j] - bv, mass[j], eps2);
-            f.acc += a;
-            f.jerk += jr;
-            f.pot += p_;
-            interactions += 1;
+            rec.words.splice(6.., force_words(&f));
+        }
+        charge(tr, interactions);
+        // Forward — the last shift returns each block home.
+        if p > 1 {
+            send_records(tr, (rank + 1) % p, &block)?;
+            block = recv_records(tr, (rank + p - 1) % p)?;
+            check_block(&block, ranges[(rank + p - shift) % p].clone(), TRAVEL_WORDS)?;
         }
     }
-    ep.advance(interactions as f64 * t_pair);
+    // Blocks are home: keep their forces and assemble the global vector.
+    for rec in &mut block {
+        rec.words.drain(..6);
+    }
+    gather_forces(tr, n, block)
+}
+
+/// Particle `i` setting out with partial force `f`.
+fn travelling(i: usize, pos: &[Vec3], vel: &[Vec3], f: &ForceResult) -> JRecord {
+    let xyz = [pos[i], vel[i]].into_iter().flat_map(|v| [v.x, v.y, v.z]);
+    JRecord {
+        index: i as u64,
+        words: xyz.map(f64::to_bits).chain(force_words(f)).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use grape6::core::Grape6Engine;
 use grape6::fault::{FaultConfig, FaultPlan, MachineGeometry, NetFaultPlan};
 use grape6::nbody::force::{ForceEngine, ForceResult, IParticle, JParticle};
 use grape6::nbody::Vec3;
-use grape6::net::fabric::{allgather, run_ranks_faulty};
-use grape6::net::{coalesced_wave, EndpointStats, LinkProfile, VirtualTransport};
+use grape6::net::fabric::run_ranks_faulty;
+use grape6::net::{coalesced_wave, EndpointStats, JRecord, LinkProfile, VirtualTransport};
 use grape6::system::MachineConfig;
 
 fn machine() -> MachineConfig {
@@ -162,24 +162,26 @@ fn lossy_fabric_completes_collectives_with_deterministic_retries() {
     let p = 4;
     let round = || {
         run_ranks_faulty::<Vec<u8>, (Vec<u64>, f64, EndpointStats), _>(p, link, plan, |mut ep| {
-            let me = (ep.rank() as u64).to_le_bytes().to_vec();
+            let me = JRecord {
+                index: ep.rank() as u64,
+                words: Vec::new(),
+            };
             let mut gathered = Vec::new();
             for step in 0..5 {
                 let mut tr = VirtualTransport::new(&mut ep);
-                coalesced_wave(&mut tr, step, 0.0, Vec::new(), &[])
+                // A barrier, then a gather: one record per rank.
+                coalesced_wave(&mut tr, 2 * step, 0.0, Vec::new(), &[])
                     .expect("retry budget is generous");
-                let all = allgather(&mut ep, me.clone(), 8).expect("retry budget is generous");
-                gathered = all
-                    .iter()
-                    .map(|b| u64::from_le_bytes(b[..].try_into().expect("8 bytes")))
-                    .collect();
+                let all = coalesced_wave(&mut tr, 2 * step + 1, 0.0, vec![me.clone()], &[])
+                    .expect("retry budget is generous");
+                gathered = all.merged.iter().map(|r| r.index).collect();
             }
             (gathered, ep.clock(), ep.stats())
         })
     };
     let a = round();
     for (r, (all, _, _)) in a.iter().enumerate() {
-        assert_eq!(*all, vec![0, 1, 2, 3], "rank {r} allgather wrong");
+        assert_eq!(*all, vec![0, 1, 2, 3], "rank {r} gather wrong");
     }
     let retransmits: u64 = a.iter().map(|(_, _, s)| s.retransmits).sum();
     assert!(retransmits > 0, "a 20%-lossy fabric must retransmit");

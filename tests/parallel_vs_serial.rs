@@ -3,14 +3,14 @@
 use std::time::Duration;
 
 use grape6::core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
-use grape6::nbody::force::{direct_all, DirectEngine, ForceEngine};
+use grape6::nbody::force::{direct_all, DirectEngine, ForceEngine, ForceResult};
 use grape6::nbody::ic::plummer::plummer_model;
 use grape6::nbody::particle::ParticleSet;
 use grape6::net::{
     run_ranks, LinkProfile, StreamConfig, StreamKind, StreamTransport, VirtualTransport,
 };
 use grape6::parallel::copy_algo::{run_copy_parallel, run_copy_rank, CopyConfig, CopySegment};
-use grape6::parallel::{grid2d_forces, ring_forces};
+use grape6::parallel::{grid2d_forces, grid2d_rank, ring_forces, ring_rank};
 use grape6::system::MachineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,8 +25,44 @@ fn bits(s: &ParticleSet) -> Vec<u64> {
     v.chain(scalars).map(f64::to_bits).collect()
 }
 
+/// Run `rank` on every rank of a `p`-rank in-process UDS mesh, one thread
+/// per rank; returns the per-rank results in rank order.
+fn uds_mesh<R: Send>(
+    p: usize,
+    tag: &str,
+    rank: impl Fn(&mut StreamTransport) -> R + Sync,
+) -> Vec<R> {
+    let dir = std::env::temp_dir().join(format!("g6-{tag}-uds-{p}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Debug builds of the bit-level engine are slow: a generous budget for
+    // waiting on the slowest rank.
+    let cfg = StreamConfig {
+        read_deadline: Duration::from_millis(500),
+        read_attempts: 6,
+        ..StreamConfig::default()
+    };
+    let out = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..p)
+            .map(|r| {
+                let (dir, rank) = (&dir, &rank);
+                s.spawn(move || {
+                    let mut tr = StreamTransport::connect_with(r, p, dir, StreamKind::Uds, &cfg)
+                        .expect("rendezvous");
+                    rank(&mut tr)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
 /// Every rank's final state of a `p`-rank copy-algorithm run on the
-/// virtual fabric, then over an in-process UDS mesh (one thread per rank).
+/// virtual fabric, then over an in-process UDS mesh.
 fn both_backends<E: ForceEngine>(
     set: &ParticleSet,
     p: usize,
@@ -45,38 +81,11 @@ fn both_backends<E: ForceEngine>(
             .expect("virtual rank");
         bits(it.particles())
     });
-    let dir = std::env::temp_dir().join(format!(
-        "g6-copy-uds-{p}-{}-{}",
-        set.n(),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Debug builds of the bit-level engine are slow: a generous budget for
-    // waiting on the slowest rank.
-    let cfg = StreamConfig {
-        read_deadline: Duration::from_millis(500),
-        read_attempts: 6,
-        ..StreamConfig::default()
-    };
-    let uds = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..p)
-            .map(|rank| {
-                let (dir, engine) = (&dir, &engine);
-                s.spawn(move || {
-                    let mut tr = StreamTransport::connect_with(rank, p, dir, StreamKind::Uds, &cfg)
-                        .expect("rendezvous");
-                    let it = run_copy_rank(engine(), set.clone(), integ, seg, &mut tr, |_, _| {})
-                        .expect("uds rank");
-                    bits(it.particles())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread"))
-            .collect()
+    let tag = format!("copy-{}", set.n());
+    let uds = uds_mesh(p, &tag, |tr| {
+        let it = run_copy_rank(engine(), set.clone(), integ, seg, tr, |_, _| {}).expect("uds rank");
+        bits(it.particles())
     });
-    let _ = std::fs::remove_dir_all(&dir);
     (virt, uds)
 }
 
@@ -172,6 +181,52 @@ fn ring_and_grid_forces_match_direct_summation() {
         assert!((grid[i].acc - want[i].acc).norm() < 1e-11, "grid i={i}");
         assert!((ring[i].pot - want[i].pot).abs() < 1e-11);
         assert!((grid[i].pot - want[i].pot).abs() < 1e-11);
+    }
+}
+
+/// Every word of a force vector, as bit patterns.
+fn force_bits(forces: &[ForceResult]) -> Vec<u64> {
+    let words = forces.iter().flat_map(|f| {
+        let (a, j) = (f.acc, f.jerk);
+        [a.x, a.y, a.z, j.x, j.y, j.z, f.pot]
+    });
+    words.map(f64::to_bits).collect()
+}
+
+#[test]
+fn ring_and_grid_ranks_over_uds_match_the_virtual_fabric() {
+    let n = 29; // divisible by none of the rank counts
+    let set = plummer_model(n, &mut StdRng::seed_from_u64(207));
+    let eps2 = 1e-4;
+    let (m, x, v) = (&set.mass[..], &set.pos[..], &set.vel[..]);
+    for p in [2usize, 3, 4] {
+        let virt = run_ranks::<Vec<u8>, _, _>(p, LinkProfile::ideal(), |mut ep| {
+            let mut tr = VirtualTransport::new(&mut ep);
+            force_bits(&ring_rank(m, x, v, eps2, &mut tr, |_, _| {}).expect("virtual rank"))
+        });
+        let uds = uds_mesh(p, "ring", |tr| {
+            force_bits(&ring_rank(m, x, v, eps2, tr, |_, _| {}).expect("uds rank"))
+        });
+        let (want, _) = ring_forces(m, x, v, eps2, p, LinkProfile::ideal(), 0.0);
+        for r in 0..p {
+            assert!(virt[r] == force_bits(&want), "ring p={p}: virtual rank {r}");
+            assert!(uds[r] == virt[r], "ring p={p}: UDS rank {r} vs virtual");
+        }
+    }
+    for r in [2usize, 3] {
+        let p = r * r;
+        let virt = run_ranks::<Vec<u8>, _, _>(p, LinkProfile::ideal(), |mut ep| {
+            let mut tr = VirtualTransport::new(&mut ep);
+            force_bits(&grid2d_rank(m, x, v, eps2, &mut tr, |_, _| {}).expect("virtual rank"))
+        });
+        let uds = uds_mesh(p, "grid", |tr| {
+            force_bits(&grid2d_rank(m, x, v, eps2, tr, |_, _| {}).expect("uds rank"))
+        });
+        let (want, _) = grid2d_forces(m, x, v, eps2, r, LinkProfile::ideal(), 0.0);
+        for k in 0..p {
+            assert!(virt[k] == force_bits(&want), "grid r={r}: virtual rank {k}");
+            assert!(uds[k] == virt[k], "grid r={r}: UDS rank {k} vs virtual");
+        }
     }
 }
 

@@ -34,6 +34,7 @@ use grape6::system::machine::MachineConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
 /// A particle set whose every f64 lane is an arbitrary bit pattern.
 fn particles(bits: &[u64]) -> ParticleSet {
@@ -142,14 +143,29 @@ thread_local! {
 }
 
 /// A connected (receiving, sending) pair of framed UDS connections — on
-/// a Unix socket, written bytes and a hangup are readable the moment the
-/// peer's call returns, so every assertion below is deterministic.
+/// a Unix socket, written bytes are readable the moment the peer's
+/// `write` returns.  A hangup is not promised to be: [`hangup`] waits
+/// for it.
 fn socket_pair() -> (FramedConn, FramedConn) {
     SOCKETS.with(|s| {
         let tx = dial_service(s.0.addr(), StreamKind::Uds, &StreamConfig::default()).expect("dial");
         let rx = s.0.try_accept().expect("accept").expect("a dialled peer");
         (rx, tx)
     })
+}
+
+/// The first no-wait receive on `rx` after its peer hung up that is not
+/// `Ok(None)`, or the last `Ok(None)` if none comes within five seconds:
+/// a non-blocking read right after the peer's close has been seen to
+/// answer "nothing yet" instead of the hangup.
+fn hangup(rx: &mut FramedConn) -> Result<Option<Vec<u8>>, FrameIoError> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match rx.recv_payload_nowait() {
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
+            seen => return seen,
+        }
+    }
 }
 
 /// The decoder contract at the framed receive: every strict prefix of a
@@ -165,10 +181,11 @@ fn nowait_receive_is_total(payload: &[u8], junk: &[u8]) {
         assert_eq!(rx.buffered(), cut);
         drop(tx);
         assert_eq!(
-            rx.recv_payload_nowait(),
+            hangup(&mut rx),
             Err(FrameIoError::Closed { torn: cut > 0 }),
             "prefix {cut} after the hangup"
         );
+        assert_eq!(rx.buffered(), cut, "prefix {cut}: bytes taken");
     }
     let (mut rx, mut tx) = socket_pair();
     tx.send_raw(&wire).expect("frame");
