@@ -50,11 +50,14 @@ echo "==> SIMD dispatch off: bitwise suite on the portable lanes"
 # eight, so group boundaries, ragged last groups and the ascending-i
 # error fallback fall on different registers of every block.
 # fault_injection rides along: stuck j-memory lines are the in-tree path by
-# which words the host never wrote reach the j side.
+# which words the host never wrote reach the j side.  grape6-system rides
+# along for the ensemble's plain-vs-comparator pass test: the comparator
+# is an option on the one pass at every level, and its forces and cycles
+# must equal the plain pass's on these lanes too.
 GRAPE6_FORCE_SCALAR=1 GRAPE6_THREADS=2 cargo test -q --locked --test overlap_bitwise \
   --test fault_injection
 GRAPE6_FORCE_SCALAR=1 cargo test -q --locked --test props_hw
-GRAPE6_FORCE_SCALAR=1 cargo test -q --locked -p grape6-chip -p grape6-arith
+GRAPE6_FORCE_SCALAR=1 cargo test -q --locked -p grape6-chip -p grape6-arith -p grape6-system
 
 echo "==> crossover bench smoke (release): 1-16 nodes x 3 network schedules"
 # Exits 1 unless the chained wave digests are identical across virtual /

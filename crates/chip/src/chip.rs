@@ -25,7 +25,7 @@ use nbody_core::force::JParticle;
 
 use crate::jmem::{HwJParticle, JMemory, StuckBit};
 use crate::kernel::{scalar_row, KernelMode, SoaBatch};
-use crate::kernel_simd::simd_block;
+use crate::kernel_simd::{simd_block, Neighbours};
 use crate::pipeline::{ExpSet, HwIParticle, PartialForce};
 use crate::predictor::{predict, predict_batch, PredictedJ};
 
@@ -90,7 +90,7 @@ pub struct Chip {
     soa: SoaBatch,
     /// `time` bits for which `predicted` and `soa` hold the lane kernel's
     /// prediction of the current j-memory contents; `None` once either may
-    /// have gone stale (see [`Chip::compute_block`]).
+    /// have gone stale (see [`Chip::compute_pass`]).
     predicted_at: Option<u64>,
     /// Fault injection: the whole chip is dead (returns zeros, burns no
     /// cycles — it simply never answers the reduction network).
@@ -164,16 +164,24 @@ impl Chip {
         self.predicted_at = None;
     }
 
-    /// Zero the virtual i-slots served by dead pipelines.  VMP slot `k`
-    /// belongs to physical pipeline `k / vmp_ways`.
-    fn censor_dead_pipelines(&self, out: &mut [PartialForce], exps: &[ExpSet]) {
+    /// Zero the virtual i-slots served by dead pipelines, and empty their
+    /// neighbour lists.  VMP slot `k` belongs to physical pipeline
+    /// `k / vmp_ways`.
+    fn censor_dead_pipelines(
+        &self,
+        out: &mut [PartialForce],
+        exps: &[ExpSet],
+        mut lists: Option<&mut [Vec<u32>]>,
+    ) {
         if self.dead_pipelines == 0 {
             return;
         }
         for (k, pf) in out.iter_mut().enumerate() {
-            let pipe = k / self.cfg.vmp_ways;
-            if self.dead_pipelines & (1 << pipe) != 0 {
+            if self.dead_pipelines & (1 << (k / self.cfg.vmp_ways)) != 0 {
                 *pf = PartialForce::new(exps[k]);
+                if let Some(lists) = &mut lists {
+                    lists[k].clear();
+                }
             }
         }
     }
@@ -226,12 +234,30 @@ impl Chip {
         self.predicted_at = None;
     }
 
+    /// The plain force pass: [`Chip::compute_pass`] without the neighbour
+    /// comparators.
+    pub fn compute_block(
+        &mut self,
+        i_regs: &[HwIParticle],
+        exps: &[ExpSet],
+    ) -> Result<Vec<PartialForce>, BlockFpError> {
+        self.compute_pass(i_regs, exps, None)
+    }
+
     /// Run one chip pass: forces on up to 48 i-particles from every stored
-    /// j-particle, with the given per-i block exponents.
+    /// j-particle, with the given per-i block exponents, and — with `nb =
+    /// Some((h2, lists))` — the hardware neighbour-detection comparators in
+    /// the same pass: `lists[i]` is cleared and receives the local address
+    /// of every j with unsoftened `r² < h2[i]` (the j-particle coincident
+    /// with the i-particle, `r = 0`, is not listed — the pipeline does not
+    /// flag self-pairs).  `h2` and `lists` hold one entry per i-register; a
+    /// caller that keeps the lists across passes pays no per-i allocation
+    /// in steady state.  Dead chips and dead pipelines return empty lists.
     ///
     /// On any block-FP overflow the pass aborts with the error and consumed
     /// cycles are still charged — the host pays for failed passes, exactly
     /// as the real machine does when it retries with a corrected exponent.
+    /// On `Err` the list contents are unspecified.
     ///
     /// The hardware re-runs its predictor pipeline on every pass; the
     /// simulator's lane kernel ([`KernelMode::Simd`]) runs it once per
@@ -242,79 +268,43 @@ impl Chip {
     /// [`Chip::set_time`] to different bits and any [`KernelMode::Scalar`]
     /// pass drop the cached batch.  Cycles and interactions are charged per
     /// pass regardless, and the scalar oracle re-predicts every pass.
-    pub fn compute_block(
+    pub fn compute_pass(
         &mut self,
         i_regs: &[HwIParticle],
         exps: &[ExpSet],
+        mut nb: Option<Neighbours<'_>>,
     ) -> Result<Vec<PartialForce>, BlockFpError> {
+        let n_i = i_regs.len();
+        // One i-register per virtual pipeline at most.
         assert!(
-            i_regs.len() <= self.cfg.i_parallelism(),
-            "block of {} exceeds chip i-parallelism {}",
-            i_regs.len(),
+            n_i <= self.cfg.i_parallelism(),
+            "block of {n_i} exceeds chip i-parallelism {}",
             self.cfg.i_parallelism()
         );
-        assert_eq!(i_regs.len(), exps.len(), "one ExpSet per i-particle");
+        // Every i-register brings its own block-FP windows.
+        assert_eq!(exps.len(), n_i, "one ExpSet per i-particle");
+        // The comparator needs a radius and a list slot per i-register.
+        assert!(
+            nb.as_ref()
+                .is_none_or(|(h2, lists)| h2.len() == n_i && lists.len() == n_i),
+            "one neighbour radius and list per i-particle"
+        );
         if self.dead {
-            // A dead chip never answers: all-zero partials, no cycles.
+            // A dead chip never answers: all-zero partials, no neighbours,
+            // no cycles.
+            if let Some((_, lists)) = nb {
+                lists.iter_mut().for_each(Vec::clear);
+            }
             return Ok(exps.iter().map(|&e| PartialForce::new(e)).collect());
         }
-        self.charge_and_predict(i_regs.len());
+        self.charge_and_predict(n_i);
         // Force pipelines: the oracle one i-register at a time, the lane
         // kernel the whole pass at once.
         let mut out = match self.kernel {
-            KernelMode::Scalar => i_regs
-                .iter()
-                .zip(exps)
-                .map(|(ip, &exp)| scalar_row(&self.rsqrt, ip, &self.predicted, exp, None))
-                .collect::<Result<Vec<_>, _>>()?,
-            KernelMode::Simd => {
-                simd_block(&self.rsqrt, i_regs, exps, &self.soa, &self.predicted, None)?
-            }
-        };
-        self.censor_dead_pipelines(&mut out, exps);
-        Ok(out)
-    }
-
-    /// Like [`Chip::compute_block`], but also runs the hardware
-    /// neighbour-detection comparators: for each i-particle, the local
-    /// addresses of every j with unsoftened `r² < h2[i]` (the j-particle
-    /// coincident with the i-particle, `r = 0`, is not listed — the
-    /// pipeline does not flag self-pairs).
-    ///
-    /// The lists are written into `lists`, which is resized to
-    /// `i_regs.len()` with each entry cleared and refilled — a caller that
-    /// keeps the buffer across passes pays no per-i allocation in steady
-    /// state (the scratch-reuse pattern of the `predicted` buffer, pushed
-    /// out to the caller).  On `Err` the list contents are unspecified.
-    pub fn compute_block_nb(
-        &mut self,
-        i_regs: &[HwIParticle],
-        exps: &[ExpSet],
-        h2: &[f64],
-        lists: &mut Vec<Vec<u32>>,
-    ) -> Result<Vec<PartialForce>, BlockFpError> {
-        assert!(i_regs.len() <= self.cfg.i_parallelism());
-        assert_eq!(i_regs.len(), exps.len());
-        assert_eq!(
-            i_regs.len(),
-            h2.len(),
-            "one neighbour radius per i-particle"
-        );
-        lists.resize_with(i_regs.len(), Vec::new);
-        if self.dead {
-            for nb in lists.iter_mut() {
-                nb.clear();
-            }
-            return Ok(exps.iter().map(|&e| PartialForce::new(e)).collect());
-        }
-        self.charge_and_predict(i_regs.len());
-        let mut out = match self.kernel {
-            KernelMode::Scalar => i_regs
-                .iter()
-                .zip(exps)
-                .zip(h2.iter().zip(lists.iter_mut()))
-                .map(|((ip, &exp), (&h2i, nb))| {
-                    scalar_row(&self.rsqrt, ip, &self.predicted, exp, Some((h2i, nb)))
+            KernelMode::Scalar => (0..n_i)
+                .map(|k| {
+                    let nb_k = nb.as_mut().map(|(h2, lists)| (h2[k], &mut lists[k]));
+                    scalar_row(&self.rsqrt, &i_regs[k], &self.predicted, exps[k], nb_k)
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             KernelMode::Simd => simd_block(
@@ -323,17 +313,10 @@ impl Chip {
                 exps,
                 &self.soa,
                 &self.predicted,
-                Some((h2, lists)),
+                nb.as_mut().map(|(h2, lists)| (*h2, &mut lists[..])),
             )?,
         };
-        self.censor_dead_pipelines(&mut out, exps);
-        if self.dead_pipelines != 0 {
-            for (k, nb) in lists.iter_mut().enumerate() {
-                if self.dead_pipelines & (1 << (k / self.cfg.vmp_ways)) != 0 {
-                    nb.clear();
-                }
-            }
-        }
+        self.censor_dead_pipelines(&mut out, exps, nb.map(|(_, lists)| lists));
         Ok(out)
     }
 
@@ -571,9 +554,9 @@ mod tests {
             .map(|k| HwIParticle::from_host(pos[k], vel[k], 1e-4))
             .collect();
         let exps = vec![ExpSet::from_magnitudes(100.0, 1000.0, 100.0); 4];
-        let mut lists = Vec::new();
+        let mut lists = vec![Vec::new(); 4];
         let forces = chip
-            .compute_block_nb(&i_regs, &exps, &[h2; 4], &mut lists)
+            .compute_pass(&i_regs, &exps, Some((&[h2; 4], &mut lists)))
             .unwrap();
         assert_eq!(forces.len(), 4);
         for k in 0..4 {
@@ -642,6 +625,38 @@ mod tests {
         }
         // Cycles are still charged: the memory stream runs regardless.
         assert_eq!(chip.cycles(), 30 + 8 * 64);
+
+        // The comparator pass: the dead pipeline's slots also come back
+        // with empty lists (stale entries in the caller's buffers
+        // included), under either kernel, and the live slots with the
+        // healthy chip's forces and lists.
+        let h2 = [0.09; 48];
+        let mut healthy = Chip::new(ChipConfig::default());
+        load_chip(&mut healthy, &mass, &pos, &vel);
+        let mut want_lists = vec![Vec::new(); 48];
+        let want = healthy
+            .compute_pass(&i_regs, &exps, Some((&h2, &mut want_lists)))
+            .unwrap();
+        assert!((16..24).any(|k| !want_lists[k].is_empty()));
+        for mode in [KernelMode::Scalar, KernelMode::Simd] {
+            chip.set_kernel_mode(mode);
+            let mut lists = vec![vec![u32::MAX]; 48];
+            let got = chip
+                .compute_pass(&i_regs, &exps, Some((&h2, &mut lists)))
+                .unwrap();
+            for k in 0..48 {
+                if (16..24).contains(&k) {
+                    assert!(
+                        lists[k].is_empty(),
+                        "slot {k} served by dead pipe ({mode:?})"
+                    );
+                    assert_eq!(got[k].to_force_result().acc.norm(), 0.0);
+                } else {
+                    assert_eq!(lists[k], want_lists[k], "slot {k} ({mode:?})");
+                    assert_eq!(got[k].pot.mant(), want[k].pot.mant());
+                }
+            }
+        }
     }
 
     #[test]
@@ -723,7 +738,11 @@ mod tests {
             chip.set_kernel_mode(mode);
             load_chip(&mut chip, &mass, &pos, &vel);
             let out = if nb {
-                chip.compute_block_nb(&i_regs, &exps, &[0.09; 48], &mut Vec::new())
+                chip.compute_pass(
+                    &i_regs,
+                    &exps,
+                    Some((&[0.09; 48], &mut vec![Vec::new(); 48])),
+                )
             } else {
                 chip.compute_block(&i_regs, &exps)
             };
@@ -746,16 +765,16 @@ mod tests {
             .map(|k| HwIParticle::from_host(pos[k], vel[k], 1e-4))
             .collect();
         let exps = vec![ExpSet::from_magnitudes(100.0, 1000.0, 100.0); 8];
-        let run = |mode: KernelMode, lists: &mut Vec<Vec<u32>>| {
+        let run = |mode: KernelMode, lists: &mut [Vec<u32>]| {
             let mut chip = Chip::new(ChipConfig::default());
             chip.set_kernel_mode(mode);
             load_chip(&mut chip, &mass, &pos, &vel);
             chip.set_time(0.0);
-            chip.compute_block_nb(&i_regs, &exps, &[h2; 8], lists)
+            chip.compute_pass(&i_regs, &exps, Some((&[h2; 8], lists)))
                 .unwrap()
         };
-        let mut sc_lists = Vec::new();
-        let mut simd_lists = Vec::new();
+        let mut sc_lists = vec![Vec::new(); 8];
+        let mut simd_lists = vec![Vec::new(); 8];
         let scalar = run(KernelMode::Scalar, &mut sc_lists);
         let simd = run(KernelMode::Simd, &mut simd_lists);
         assert_eq!(sc_lists, simd_lists);
@@ -765,12 +784,13 @@ mod tests {
             assert_eq!(scalar[k].pot.mant(), simd[k].pot.mant());
         }
         // A reused buffer is refilled identically (capacity retained, no
-        // stale entries), and shrinks to the new i-count when smaller.
+        // stale entries); a smaller pass fills only its own slots.
         let again = run(KernelMode::Simd, &mut simd_lists);
         assert_eq!(simd_lists, sc_lists);
         assert_eq!(again.len(), 8);
-        let mut small = run_small(&mass, &pos, &vel, &mut simd_lists);
-        assert_eq!(simd_lists.len(), 1);
+        simd_lists[0].push(u32::MAX);
+        let mut small = run_small(&mass, &pos, &vel, &mut simd_lists[..1]);
+        assert_eq!(simd_lists, sc_lists);
         assert_eq!(small.remove(0).pot.mant(), scalar[0].pot.mant());
     }
 
@@ -778,14 +798,14 @@ mod tests {
         mass: &[f64],
         pos: &[Vec3],
         vel: &[Vec3],
-        lists: &mut Vec<Vec<u32>>,
+        lists: &mut [Vec<u32>],
     ) -> Vec<PartialForce> {
         let mut chip = Chip::new(ChipConfig::default());
         load_chip(&mut chip, mass, pos, vel);
         chip.set_time(0.0);
         let i_regs = vec![HwIParticle::from_host(pos[0], vel[0], 1e-4)];
         let exps = vec![ExpSet::from_magnitudes(100.0, 1000.0, 100.0)];
-        chip.compute_block_nb(&i_regs, &exps, &[0.09], lists)
+        chip.compute_pass(&i_regs, &exps, Some((&[0.09], lists)))
             .unwrap()
     }
 
@@ -845,9 +865,9 @@ mod tests {
             i_regs.len()
         ];
         let (c0, n0) = (chip.cycles(), chip.interactions());
-        let mut lists = Vec::new();
+        let mut lists = vec![Vec::new(); if nb { i_regs.len() } else { 0 }];
         let out = if nb {
-            chip.compute_block_nb(i_regs, &exps, &vec![0.09; i_regs.len()], &mut lists)
+            chip.compute_pass(i_regs, &exps, Some((&vec![0.09; i_regs.len()], &mut lists)))
         } else {
             chip.compute_block(i_regs, &exps)
         };

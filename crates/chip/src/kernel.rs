@@ -39,9 +39,10 @@
 //!   i-registers, and a group that fails either check takes the same
 //!   `scalar_row` path as a flagged one.
 //!
-//! [`batched_block`] and its one-i forms [`batched_row`] /
-//! [`batched_row_nb`] run that datapath on the `Portable` lane instance
-//! whatever the host's dispatch would pick;
+//! [`batched_block`] and its one-i plain form [`batched_row`] run that
+//! datapath on the `Portable` lane instance whatever the host's dispatch
+//! would pick (a one-i comparator pass is `batched_block` on one-element
+//! slices);
 //! [`crate::kernel_simd::simd_block`] runs it on the widest instance the
 //! host has.  Bitwise identity with the oracle is structural, and it is
 //! enforced by proptests and by whole-schedule A/B runs in `tests/`.
@@ -166,24 +167,6 @@ pub fn batched_row(
 ) -> Result<PartialForce, BlockFpError> {
     let ip = std::slice::from_ref(ip);
     batched_block(rsqrt, ip, &[exps], batch, predicted, None).map(|pf| pf[0])
-}
-
-/// Evaluate one i-register against the whole batch with neighbour
-/// detection, on the portable lanes: local addresses of every j with
-/// unsoftened `r² < h2i` (self-pairs, `r = 0`, are not flagged) are
-/// appended to `nb`, which is cleared first (and left empty on `Err`).
-pub fn batched_row_nb(
-    rsqrt: &RsqrtCubedUnit,
-    ip: &HwIParticle,
-    batch: &SoaBatch,
-    predicted: &[PredictedJ],
-    exps: ExpSet,
-    h2i: f64,
-    nb: &mut Vec<u32>,
-) -> Result<PartialForce, BlockFpError> {
-    let (ip, h2) = (std::slice::from_ref(ip), [h2i]);
-    let nb = Some((&h2[..], std::slice::from_mut(nb)));
-    batched_block(rsqrt, ip, &[exps], batch, predicted, nb).map(|pf| pf[0])
 }
 
 /// One i-register through the scalar oracle: the `interact` loop in

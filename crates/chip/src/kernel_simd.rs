@@ -126,7 +126,7 @@ pub fn simd_row(
 
 /// Evaluate one i-register against the whole batch with neighbour
 /// detection, through the active lane level.  Bit-identical to
-/// [`crate::kernel::batched_row_nb`], list included.
+/// [`batched_block`] on one-element slices, list included.
 pub fn simd_row_nb(
     rsqrt: &RsqrtCubedUnit,
     ip: &HwIParticle,
@@ -144,7 +144,7 @@ pub fn simd_row_nb(
 /// [`simd_block`] pinned to the `Portable` lane instance, whatever dispatch
 /// would pick (it is also what dispatch runs with no SIMD level active).
 /// Re-exported as [`crate::kernel::batched_block`], next to the one-i
-/// `batched_row{,_nb}` built on it.
+/// plain [`crate::kernel::batched_row`] built on it.
 pub fn batched_block(
     rsqrt: &RsqrtCubedUnit,
     i_regs: &[HwIParticle],
@@ -391,7 +391,7 @@ unsafe fn block_lanes<L: Lanes>(
 mod tests {
     use super::*;
     use crate::jmem::HwJParticle;
-    use crate::kernel::{batched_row, batched_row_nb};
+    use crate::kernel::batched_row;
     use crate::pipeline::interact;
     use crate::predictor::predict;
     use grape6_arith::simd::{set_dispatch_override, DispatchOverride};
@@ -480,7 +480,11 @@ mod tests {
             batch.decode(predicted);
             match (self.dispatched, h2) {
                 (false, None) => batched_row(&rsqrt, ip, &batch, predicted, exps),
-                (false, Some(h2)) => batched_row_nb(&rsqrt, ip, &batch, predicted, exps, h2, nb),
+                (false, Some(h2)) => {
+                    let (ip, nb) = (std::slice::from_ref(ip), std::slice::from_mut(nb));
+                    batched_block(&rsqrt, ip, &[exps], &batch, predicted, Some((&[h2], nb)))
+                        .map(|pf| pf[0])
+                }
                 (true, None) => simd_row(&rsqrt, ip, &batch, predicted, exps),
                 (true, Some(h2)) => simd_row_nb(&rsqrt, ip, &batch, predicted, exps, h2, nb),
             }

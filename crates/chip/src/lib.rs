@@ -36,4 +36,5 @@ pub mod predictor;
 pub use chip::{Chip, ChipConfig, I_PARALLEL_PER_CHIP};
 pub use jmem::{HwJParticle, StuckBit};
 pub use kernel::KernelMode;
+pub use kernel_simd::Neighbours;
 pub use pipeline::{ExpSet, HwIParticle, PartialForce};

@@ -688,24 +688,17 @@ impl Grape6Engine {
         let mut exps = vec![self.exps(); regs.len()];
         let mut widen_attempts = 0u32;
         let mut recomputes = 0u32;
-        // Neighbour-list buffer shared by every retry of this chunk — the
-        // hierarchy fills it in place (see `GrapeUnit::compute_block_nb`),
-        // so the recovery ladder never reallocates the lists.
-        let mut nb_lists: Vec<Vec<u32>> = Vec::new();
+        // One neighbour list per register (none for a plain pass), shared
+        // by every retry of this chunk: the hierarchy clears and refills
+        // them in place (`GrapeUnit::compute_pass`), so the recovery ladder
+        // never reallocates the lists.
+        let mut nb_lists: Vec<Vec<u32>> = vec![Vec::new(); h2.map_or(0, <[f64]>::len)];
         // Phase tag of the *next* pipeline pass: the first attempt is plain
         // pipeline time; repeats are tagged by what caused them.
         let mut attempt_phase = Phase::Grape;
         loop {
-            let outcome = match h2 {
-                None => self
-                    .hw
-                    .compute_block(regs, &exps)
-                    .map(|partials| (partials, Vec::new())),
-                Some(h2) => self
-                    .hw
-                    .compute_block_nb(regs, &exps, h2, &mut nb_lists)
-                    .map(|partials| (partials, std::mem::take(&mut nb_lists))),
-            };
+            let nb = h2.map(|h2| (h2, &mut nb_lists[..]));
+            let outcome = self.hw.compute_pass(regs, &exps, nb);
             // The hardware ran a pass whatever the outcome; charge its
             // critical-path cycles under the attempt's phase tag.
             if let Some(tb) = self.timebase {
@@ -728,7 +721,7 @@ impl Grape6Engine {
                 self.trace_board_passes(t1);
             }
             match outcome {
-                Ok((partials, lists)) => {
+                Ok(partials) => {
                     // Host-side sanity screen on everything hardware hands
                     // back: NaN/inf/absurd values trigger a recompute, and
                     // if the insanity persists it is a hardware fault.
@@ -736,7 +729,7 @@ impl Grape6Engine {
                         .iter()
                         .any(|p| !Self::result_sane(&p.to_force_result()));
                     if !insane {
-                        return Ok((partials, lists));
+                        return Ok((partials, nb_lists));
                     }
                     recomputes += 1;
                     attempt_phase = Phase::SanityRecompute;
@@ -835,12 +828,32 @@ impl Grape6Engine {
             })
     }
 
-    /// Fallible compute: the typed-error twin of [`ForceEngine::compute`].
-    pub fn try_compute_forces(
+    /// Compute forces **and hardware neighbour lists**: for each i-particle
+    /// the global j-addresses with unsoftened `r² < h2[k]`, as detected by
+    /// the pipeline comparators in the same passes as the forces — the
+    /// hardware service behind the Ahmad–Cohen scheme's bookkeeping on the
+    /// real machine.  Errors as [`ForceEngine::try_compute`], plus a
+    /// `BufferMismatch` when `h2` is not one radius per i-particle.
+    pub fn try_compute_with_neighbours(
         &mut self,
         i: &[IParticle],
+        h2: &[f64],
         out: &mut [ForceResult],
-    ) -> Result<(), EngineError> {
+    ) -> Result<Vec<Vec<u32>>, EngineError> {
+        self.compute_chunks(i, Some(h2), out)
+    }
+
+    /// The chunk loop behind both entry points: `i` in i-parallelism
+    /// chunks through [`Grape6Engine::run_chunk`], each chunk's forces
+    /// converted into `out` and fed to the window tracker.  With `h2` (one
+    /// radius per i-particle) the result holds one neighbour list per
+    /// i-particle; without it, none.
+    fn compute_chunks(
+        &mut self,
+        i: &[IParticle],
+        h2: Option<&[f64]>,
+        out: &mut [ForceResult],
+    ) -> Result<Vec<Vec<u32>>, EngineError> {
         if i.len() != out.len() {
             return Err(EngineError::BufferMismatch {
                 what: "out",
@@ -848,21 +861,30 @@ impl Grape6Engine {
                 got: out.len(),
             });
         }
-        for (chunk_i, chunk_o) in i
-            .chunks(self.i_parallel)
-            .zip(out.chunks_mut(self.i_parallel))
-        {
+        if let Some(h2) = h2.filter(|h2| h2.len() != i.len()) {
+            return Err(EngineError::BufferMismatch {
+                what: "h2",
+                expected: i.len(),
+                got: h2.len(),
+            });
+        }
+        let width = self.i_parallel;
+        let mut all_lists = Vec::with_capacity(h2.map_or(0, <[f64]>::len));
+        let chunks = i.chunks(width).zip(out.chunks_mut(width));
+        for (c, (chunk_i, chunk_o)) in chunks.enumerate() {
             let regs: Vec<HwIParticle> = chunk_i
                 .iter()
                 .map(|p| HwIParticle::from_host(p.pos, p.vel, p.eps2))
                 .collect();
-            let (partials, _) = self.run_chunk(&regs, None)?;
+            let chunk_h = h2.map(|h2| &h2[c * width..c * width + chunk_i.len()]);
+            let (partials, lists) = self.run_chunk(&regs, chunk_h)?;
             for (o, p) in chunk_o.iter_mut().zip(&partials) {
                 *o = p.to_force_result();
             }
             self.update_mags(chunk_o);
+            all_lists.extend(lists);
         }
-        Ok(())
+        Ok(all_lists)
     }
 }
 
@@ -892,17 +914,16 @@ impl ForceEngine for Grape6Engine {
     }
 
     /// # Panics
-    /// On every error of [`Grape6Engine::try_compute_forces`] (the trait's
-    /// `try_compute`): mismatched buffers, retry exhaustion, a hardware
-    /// fault, a poisoned engine.
+    /// On every error of [`ForceEngine::try_compute`]: mismatched buffers,
+    /// retry exhaustion, a hardware fault, a poisoned engine.
     fn compute(&mut self, i: &[IParticle], out: &mut [ForceResult]) {
-        if let Err(e) = self.try_compute_forces(i, out) {
+        if let Err(e) = self.try_compute(i, out) {
             panic!("{e}");
         }
     }
 
     fn try_compute(&mut self, i: &[IParticle], out: &mut [ForceResult]) -> Result<(), EngineError> {
-        self.try_compute_forces(i, out)
+        self.compute_chunks(i, None, out).map(drop)
     }
 
     fn fault_counters(&self) -> FaultCounters {
@@ -929,68 +950,6 @@ impl ForceEngine for Grape6Engine {
 
     fn interactions(&self) -> u64 {
         self.hw.total_interactions()
-    }
-}
-
-impl Grape6Engine {
-    /// Compute forces **and hardware neighbour lists**: for each i-particle
-    /// the global j-addresses with unsoftened `r² < h2[k]`, as detected by
-    /// the pipeline comparators — the hardware service behind the
-    /// Ahmad–Cohen scheme's bookkeeping on the real machine.
-    ///
-    /// # Panics
-    /// On every error of [`Grape6Engine::try_compute_with_neighbours`].
-    pub fn compute_with_neighbours(
-        &mut self,
-        i: &[IParticle],
-        h2: &[f64],
-        out: &mut [ForceResult],
-    ) -> Vec<Vec<u32>> {
-        match self.try_compute_with_neighbours(i, h2, out) {
-            Ok(lists) => lists,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible twin of [`Grape6Engine::compute_with_neighbours`].
-    pub fn try_compute_with_neighbours(
-        &mut self,
-        i: &[IParticle],
-        h2: &[f64],
-        out: &mut [ForceResult],
-    ) -> Result<Vec<Vec<u32>>, EngineError> {
-        if i.len() != out.len() {
-            return Err(EngineError::BufferMismatch {
-                what: "out",
-                expected: i.len(),
-                got: out.len(),
-            });
-        }
-        if i.len() != h2.len() {
-            return Err(EngineError::BufferMismatch {
-                what: "h2",
-                expected: i.len(),
-                got: h2.len(),
-            });
-        }
-        let mut all_lists = Vec::with_capacity(i.len());
-        for ((chunk_i, chunk_o), chunk_h) in i
-            .chunks(self.i_parallel)
-            .zip(out.chunks_mut(self.i_parallel))
-            .zip(h2.chunks(self.i_parallel))
-        {
-            let regs: Vec<HwIParticle> = chunk_i
-                .iter()
-                .map(|p| HwIParticle::from_host(p.pos, p.vel, p.eps2))
-                .collect();
-            let (partials, lists) = self.run_chunk(&regs, Some(chunk_h))?;
-            for (o, p) in chunk_o.iter_mut().zip(&partials) {
-                *o = p.to_force_result();
-            }
-            self.update_mags(chunk_o);
-            all_lists.extend(lists);
-        }
-        Ok(all_lists)
     }
 }
 
@@ -1134,7 +1093,9 @@ mod tests {
             .collect();
         let h2 = [0.25f64, 0.25, 0.25];
         let mut out = vec![ForceResult::default(); 3];
-        let lists = g.compute_with_neighbours(&probes, &h2, &mut out);
+        let lists = g
+            .try_compute_with_neighbours(&probes, &h2, &mut out)
+            .expect("healthy machine, matching buffers");
         for k in 0..3 {
             let want: Vec<u32> = (0..n)
                 .filter(|&j| {
@@ -1230,7 +1191,7 @@ mod tests {
             eps2: 0.0,
         }];
         let mut out = [ForceResult::default()];
-        let err = g.try_compute_forces(&probe, &mut out).unwrap_err();
+        let err = g.try_compute(&probe, &mut out).unwrap_err();
         match &err {
             EngineError::ExponentDivergence { retries, .. } => {
                 assert_eq!(*retries, MAX_RETRIES);

@@ -24,6 +24,7 @@
 use grape6_arith::blockfp::BlockFpError;
 use grape6_chip::kernel::KernelMode;
 use grape6_chip::pipeline::{ExpSet, HwIParticle, PartialForce};
+use grape6_chip::Neighbours;
 use grape6_fault::{ChipFault, ReductionFaultSchedule};
 use nbody_core::fanout;
 use nbody_core::force::JParticle;
@@ -58,9 +59,10 @@ pub struct Ensemble<U> {
     /// Cycles added to the critical path for this level's reduction.
     pub reduction_latency: u64,
     /// Per-child neighbour-list scratch, one buffer per child (masked
-    /// children keep an empty one).  Handing each child its own buffer
-    /// keeps the concurrent walk race-free and makes the steady state of
-    /// [`GrapeUnit::compute_block_nb`] allocation-free.
+    /// children keep theirs as it was).  Handing each child its own buffer
+    /// keeps the concurrent walk race-free and makes the steady state of a
+    /// comparator [`GrapeUnit::compute_pass`] allocation-free; a plain
+    /// pass never touches it.
     nb_scratch: Vec<Vec<Vec<u32>>>,
 }
 
@@ -177,23 +179,41 @@ impl<U: GrapeUnit> GrapeUnit for Ensemble<U> {
         Ok(())
     }
 
-    fn compute_block(
+    fn compute_pass(
         &mut self,
         i: &[HwIParticle],
         exps: &[ExpSet],
+        nb: Option<Neighbours<'_>>,
     ) -> Result<Vec<PartialForce>, BlockFpError> {
+        // The comparator fills one list per i-particle under one radius each.
+        assert!(
+            nb.as_ref()
+                .is_none_or(|(h2, lists)| h2.len() == i.len() && lists.len() == i.len()),
+            "one neighbour radius and list per i-particle"
+        );
         self.passes += 1;
         let glitch = self.reduction_glitches_now();
+        let h2 = nb.as_ref().map(|&(h2, _)| h2);
         // All in-service children run concurrently on the same broadcast
         // i-block (or in sequence for the serial baseline — same bits
-        // either way); masked children are never driven.
+        // either way); masked children are never driven.  A comparator
+        // pass hands each child its own scratch lists, so the concurrent
+        // walk never shares a list and repeat passes reuse the allocations.
         let active = &self.active;
-        let walk = |k: usize, c: &mut U| active[k].then(|| c.compute_block(i, exps));
-        let children = self.children.iter_mut();
+        let walk = |k: usize, (c, buf): (&mut U, &mut Vec<Vec<u32>>)| {
+            active[k].then(|| {
+                let nb = h2.map(|h2| {
+                    buf.resize_with(i.len(), Vec::new);
+                    (h2, &mut buf[..])
+                });
+                c.compute_pass(i, exps, nb)
+            })
+        };
+        let pairs = self.children.iter_mut().zip(&mut self.nb_scratch);
         let partials: Vec<Option<Result<Vec<PartialForce>, BlockFpError>>> = if self.parallel {
-            fanout::map(children, walk)
+            fanout::map(pairs, walk)
         } else {
-            children.enumerate().map(|(k, c)| walk(k, c)).collect()
+            pairs.enumerate().map(|(k, pair)| walk(k, pair)).collect()
         };
         // Critical path = slowest in-service child + this level's reduction.
         let slowest = self
@@ -213,7 +233,7 @@ impl<U: GrapeUnit> GrapeUnit for Ensemble<U> {
         if glitch {
             return Err(BlockFpError::ExponentMismatch { left: 0, right: 1 });
         }
-        // Exact reduction over the survivors.
+        // Exact reduction over the survivors, in child order.
         let mut acc: Option<Vec<PartialForce>> = None;
         for res in partials.into_iter().flatten() {
             let forces = res?;
@@ -226,77 +246,22 @@ impl<U: GrapeUnit> GrapeUnit for Ensemble<U> {
                 }
             }
         }
+        if let Some((_, lists)) = nb {
+            // Translate the survivors' local addresses to this level's
+            // space: the inverse of `load_j`'s round-robin, whose child
+            // index is the position in the active list.
+            let k = self.n_active() as u32;
+            lists.iter_mut().for_each(Vec::clear);
+            let survivors = self.nb_scratch.iter().zip(&self.active).filter(|(_, &a)| a);
+            for (active_pos, (child_lists, _)) in (0u32..).zip(survivors) {
+                for (slot, child_nb) in lists.iter_mut().zip(child_lists) {
+                    slot.extend(child_nb.iter().map(|&local| local * k + active_pos));
+                }
+            }
+            lists.iter_mut().for_each(|l| l.sort_unstable());
+        }
         // A fully-masked ensemble contributes nothing (the caller decides
         // whether an empty machine is an error).
-        Ok(acc.unwrap_or_else(|| exps.iter().map(|&e| PartialForce::new(e)).collect()))
-    }
-
-    fn compute_block_nb(
-        &mut self,
-        i: &[HwIParticle],
-        exps: &[ExpSet],
-        h2: &[f64],
-        lists: &mut Vec<Vec<u32>>,
-    ) -> Result<Vec<PartialForce>, BlockFpError> {
-        self.passes += 1;
-        let glitch = self.reduction_glitches_now();
-        let active = &self.active;
-        // Each child fills its own scratch buffer, so the concurrent walk
-        // never shares a list and repeat passes reuse the allocations.
-        let walk = |k: usize, (c, buf): (&mut U, &mut Vec<Vec<u32>>)| {
-            active[k].then(|| c.compute_block_nb(i, exps, h2, buf))
-        };
-        let pairs = self.children.iter_mut().zip(&mut self.nb_scratch);
-        let results: Vec<Option<Result<Vec<PartialForce>, BlockFpError>>> = if self.parallel {
-            fanout::map(pairs, walk)
-        } else {
-            pairs.enumerate().map(|(k, pair)| walk(k, pair)).collect()
-        };
-        let slowest = self
-            .children
-            .iter()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .map(|(c, _)| c.last_pass_cycles())
-            .max()
-            .unwrap_or(0);
-        self.last_pass = slowest + self.reduction_latency;
-        self.total += self.last_pass;
-        if glitch {
-            return Err(BlockFpError::ExponentMismatch { left: 0, right: 1 });
-        }
-        // Address translation inverts the round-robin over the *survivors*:
-        // j-distribution child index = position in the active list.
-        let k = self.n_active() as u32;
-        let mut acc: Option<Vec<PartialForce>> = None;
-        lists.resize_with(i.len(), Vec::new);
-        for slot in lists.iter_mut() {
-            slot.clear();
-        }
-        let mut active_pos: u32 = 0;
-        for (child_idx, res) in results.into_iter().enumerate() {
-            let Some(res) = res else { continue };
-            let forces = res?;
-            match &mut acc {
-                None => acc = Some(forces),
-                Some(a) => {
-                    for (x, y) in a.iter_mut().zip(&forces) {
-                        x.merge(y)?;
-                    }
-                }
-            }
-            // Translate the child's local addresses to this level's space
-            // (inverse of the round-robin distribution in `load_j`).
-            for (slot, child_nb) in lists.iter_mut().zip(&self.nb_scratch[child_idx]) {
-                for &local in child_nb {
-                    slot.push(local * k + active_pos);
-                }
-            }
-            active_pos += 1;
-        }
-        for slot in lists.iter_mut() {
-            slot.sort_unstable();
-        }
         Ok(acc.unwrap_or_else(|| exps.iter().map(|&e| PartialForce::new(e)).collect()))
     }
 
@@ -519,30 +484,70 @@ mod tests {
                 }
                 m.set_time(0.0);
             }
-            let (mut nb_par, mut nb_ser) = (Vec::new(), Vec::new());
+            let (mut nb_par, mut nb_ser) = (vec![Vec::new(); 48], vec![Vec::new(); 48]);
+            // What the last plain pass produced and charged: the
+            // comparator pass after it must match it.
+            let mut plain = None;
+            let mut plain_step = (0, 0, 0, 0);
+            let mut compared = 0;
             for pass in 1..=4 {
+                let before = (par.passes(), par.total_cycles(), par.total_interactions());
                 let (a, b) = if pass % 2 == 1 {
                     (par.compute_block(&i, &exps), ser.compute_block(&i, &exps))
                 } else {
                     (
-                        par.compute_block_nb(&i, &exps, &h2, &mut nb_par),
-                        ser.compute_block_nb(&i, &exps, &h2, &mut nb_ser),
+                        par.compute_pass(&i, &exps, Some((&h2, &mut nb_par))),
+                        ser.compute_pass(&i, &exps, Some((&h2, &mut nb_ser))),
                     )
                 };
                 assert_eq!(par.last_pass_cycles(), ser.last_pass_cycles());
                 assert_eq!(par.total_cycles(), ser.total_cycles());
                 assert_eq!(par.total_interactions(), ser.total_interactions());
+                assert_eq!((par.passes(), ser.passes()), (pass, pass));
+                // One pass on the clock and the same cycles and interactions
+                // charged, with the comparators on or off.
+                let step = (
+                    par.passes() - before.0,
+                    par.total_cycles() - before.1,
+                    par.total_interactions() - before.2,
+                    par.last_pass_cycles(),
+                );
+                if pass % 2 == 1 {
+                    plain_step = step;
+                } else {
+                    assert_eq!(
+                        step,
+                        plain_step,
+                        "pass {pass} charged like pass {}",
+                        pass - 1
+                    );
+                }
                 if degrade && pass == 2 {
                     assert_eq!(a.unwrap_err(), b.unwrap_err(), "same glitch, same error");
                     continue;
                 }
-                assert_eq!(bits(&a.unwrap()), bits(&b.unwrap()), "pass {pass}");
-                if pass % 2 == 0 {
-                    assert_eq!(nb_par, nb_ser);
-                    assert!(nb_par.iter().any(|l| !l.is_empty()));
-                    assert!(nb_par.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
+                let got = bits(&a.unwrap());
+                assert_eq!(got, bits(&b.unwrap()), "pass {pass}");
+                if pass % 2 == 1 {
+                    plain = Some(got);
+                    continue;
                 }
+                assert_eq!(nb_par, nb_ser);
+                assert!(nb_par.iter().any(|l| !l.is_empty()));
+                assert!(nb_par.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
+                let want = plain
+                    .take()
+                    .expect("a plain pass precedes each comparator pass");
+                assert_eq!(
+                    got,
+                    want,
+                    "comparator pass {pass} vs plain pass {}",
+                    pass - 1
+                );
+                compared += 1;
             }
+            // The glitch takes pass 2, and with it the first pair.
+            assert_eq!(compared, if degrade { 1 } else { 2 });
         }
     }
 
@@ -612,8 +617,9 @@ mod tests {
         let i = [HwIParticle::from_host(probe_src.pos, probe_src.vel, 1e-4)];
         let exps = [ExpSet::from_magnitudes(10.0, 10.0, 10.0)];
         let h2 = 0.36; // h = 0.6
-        let mut lists = Vec::new();
-        e.compute_block_nb(&i, &exps, &[h2], &mut lists).unwrap();
+        let mut lists = vec![Vec::new()];
+        e.compute_pass(&i, &exps, Some((&[h2], &mut lists)))
+            .unwrap();
         let want: Vec<u32> = (0..n)
             .filter(|&j| {
                 let d2 = (particle(j).pos - probe_src.pos).norm2();
@@ -719,8 +725,9 @@ mod tests {
         let i = [HwIParticle::from_host(probe_src.pos, probe_src.vel, 1e-4)];
         let exps = [ExpSet::from_magnitudes(10.0, 10.0, 10.0)];
         let h2 = 0.36;
-        let mut lists = Vec::new();
-        e.compute_block_nb(&i, &exps, &[h2], &mut lists).unwrap();
+        let mut lists = vec![Vec::new()];
+        e.compute_pass(&i, &exps, Some((&[h2], &mut lists)))
+            .unwrap();
         let want: Vec<u32> = (0..n)
             .filter(|&j| {
                 let d2 = (particle(j).pos - probe_src.pos).norm2();

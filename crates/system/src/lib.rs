@@ -20,8 +20,10 @@
 //! The hierarchy is therefore implemented once, generically:
 //!
 //! * [`unit::GrapeUnit`] — what it means to be "a piece of GRAPE hardware"
-//!   (hold j-particles, compute on 48 i-particles, report cycles);
-//! * [`ensemble::Ensemble`] — the broadcast/divide/reduce combinator;
+//!   (hold j-particles, run one pass on 48 i-particles — the neighbour
+//!   comparators an option of that pass, as on the chip — report cycles);
+//! * [`ensemble::Ensemble`] — the broadcast/divide/reduce combinator, one
+//!   pass body for the plain and the comparator pass;
 //! * [`machine`] — concrete type aliases ([`machine::Module`],
 //!   [`machine::Board`], [`machine::BoardArray`]) plus the
 //!   [`machine::MachineConfig`] describing the real 2048-chip machine and

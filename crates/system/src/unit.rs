@@ -5,6 +5,7 @@ use grape6_chip::chip::{Chip, I_PARALLEL_PER_CHIP};
 use grape6_chip::jmem::StuckBit;
 use grape6_chip::kernel::KernelMode;
 use grape6_chip::pipeline::{ExpSet, HwIParticle, PartialForce};
+use grape6_chip::Neighbours;
 use grape6_fault::{ChipFault, ReductionFaultSchedule};
 use nbody_core::force::JParticle;
 
@@ -56,6 +57,10 @@ impl std::error::Error for LoadError {}
 /// * the j-particles are **divided** among children, so capacity adds up;
 /// * partial forces are merged exactly (block floating point), making the
 ///   result independent of the division;
+/// * there is one pass, [`GrapeUnit::compute_pass`]: the neighbour
+///   comparators ride in it as an option, as they sit inside the chip's
+///   force pipeline, so forces and cycles do not depend on whether they
+///   are on;
 /// * `last_pass_cycles` reports the *critical path* of the most recent
 ///   compute (children run in parallel; a level adds its reduction
 ///   latency).
@@ -72,33 +77,36 @@ pub trait GrapeUnit: Send {
     /// Write the j-particle at global address `addr`.
     fn load_j(&mut self, addr: usize, p: &JParticle) -> Result<(), LoadError>;
 
-    /// Compute forces on ≤ 48 i-particles from every stored j-particle.
+    /// Run one pass on ≤ 48 i-particles against every stored j-particle:
+    /// their partial forces, and — with `nb = Some((h2, lists))` — the
+    /// hardware neighbour comparators of the same pass, as on the chip:
+    /// `lists[i]` is cleared and receives the **global j-addresses** with
+    /// unsoftened `r² < h2[i]` (self-pairs excluded), ascending.  Every
+    /// level of the hierarchy translates its children's local addresses
+    /// back to the caller's address space.
+    ///
+    /// `h2` and `lists` hold one entry per i-particle; callers that keep
+    /// the lists across passes pay no per-i allocation in steady state.
+    /// On `Err` the list contents are unspecified.
+    fn compute_pass(
+        &mut self,
+        i: &[HwIParticle],
+        exps: &[ExpSet],
+        nb: Option<Neighbours<'_>>,
+    ) -> Result<Vec<PartialForce>, BlockFpError>;
+
+    /// The plain force pass: [`GrapeUnit::compute_pass`] without the
+    /// neighbour comparators.
     fn compute_block(
         &mut self,
         i: &[HwIParticle],
         exps: &[ExpSet],
-    ) -> Result<Vec<PartialForce>, BlockFpError>;
+    ) -> Result<Vec<PartialForce>, BlockFpError> {
+        self.compute_pass(i, exps, None)
+    }
 
-    /// Like [`GrapeUnit::compute_block`], but also runs the hardware
-    /// neighbour comparators: per i-particle, the **global j-addresses**
-    /// with unsoftened `r² < h2[i]` (self-pairs excluded).  Every level of
-    /// the hierarchy translates its children's local addresses back to the
-    /// caller's address space.
-    ///
-    /// The lists are written into `lists`, which is resized to `i.len()`
-    /// with each entry cleared and refilled — callers that keep the buffer
-    /// across passes pay no per-i allocation in steady state.  On `Err`
-    /// the list contents are unspecified.
-    fn compute_block_nb(
-        &mut self,
-        i: &[HwIParticle],
-        exps: &[ExpSet],
-        h2: &[f64],
-        lists: &mut Vec<Vec<u32>>,
-    ) -> Result<Vec<PartialForce>, BlockFpError>;
-
-    /// Clock cycles on the critical path of the most recent
-    /// `compute_block` (0 if none has run).
+    /// Clock cycles on the critical path of the most recent pass (0 if
+    /// none has run).
     fn last_pass_cycles(&self) -> u64;
 
     /// Total cycles over all passes (critical path, accumulated).
@@ -239,26 +247,14 @@ impl GrapeUnit for ChipUnit {
         Ok(())
     }
 
-    fn compute_block(
+    fn compute_pass(
         &mut self,
         i: &[HwIParticle],
         exps: &[ExpSet],
+        nb: Option<Neighbours<'_>>,
     ) -> Result<Vec<PartialForce>, BlockFpError> {
         let before = self.chip.cycles();
-        let r = self.chip.compute_block(i, exps);
-        self.last_pass = self.chip.cycles() - before;
-        r
-    }
-
-    fn compute_block_nb(
-        &mut self,
-        i: &[HwIParticle],
-        exps: &[ExpSet],
-        h2: &[f64],
-        lists: &mut Vec<Vec<u32>>,
-    ) -> Result<Vec<PartialForce>, BlockFpError> {
-        let before = self.chip.cycles();
-        let r = self.chip.compute_block_nb(i, exps, h2, lists);
+        let r = self.chip.compute_pass(i, exps, nb);
         self.last_pass = self.chip.cycles() - before;
         r
     }

@@ -121,7 +121,7 @@ proptest! {
     ) {
         use grape6::arith::rsqrt::RsqrtCubedUnit;
         use grape6::chip::jmem::HwJParticle;
-        use grape6::chip::kernel::{batched_block, batched_row, batched_row_nb, SoaBatch};
+        use grape6::chip::kernel::{batched_block, batched_row, SoaBatch};
         use grape6::chip::pipeline::{interact, PartialForce};
         use grape6::chip::predictor::predict;
         let n_i = probes.len();
@@ -148,8 +148,8 @@ proptest! {
                 chip.load_j(k, p);
             }
             chip.set_time(0.0);
-            let mut nb = Vec::new();
-            let pf = chip.compute_block_nb(&i_regs, &exps, &h2, &mut nb).unwrap();
+            let mut nb = vec![Vec::new(); n_i];
+            let pf = chip.compute_pass(&i_regs, &exps, Some((&h2, &mut nb))).unwrap();
             (pf, nb)
         };
         let (a, nb_s) = run_chip(KernelMode::Scalar);
@@ -179,17 +179,25 @@ proptest! {
             prop_assert_eq!(&nb_p[i], &want_nb, "neighbour list diverged (batched_block, i={})", i);
             let mut rows = vec![("chip scalar", a[i]), ("chip simd", b[i]), ("batched_block", c[i])];
             if i < 2 {
-                let mut nb = Vec::new();
+                let mut nb = [Vec::new()];
+                let one = i..i + 1;
                 rows.push((
                     "batched_row",
                     batched_row(&rsqrt, &i_regs[i], &batch, &predicted, exps[i]).unwrap(),
                 ));
                 rows.push((
-                    "batched_row_nb",
-                    batched_row_nb(&rsqrt, &i_regs[i], &batch, &predicted, exps[i], h2[i], &mut nb)
-                        .unwrap(),
+                    "batched_block, one i",
+                    batched_block(
+                        &rsqrt,
+                        &i_regs[one.clone()],
+                        &exps[one.clone()],
+                        &batch,
+                        &predicted,
+                        Some((&h2[one], &mut nb)),
+                    )
+                    .unwrap()[0],
                 ));
-                prop_assert_eq!(&nb, &want_nb, "neighbour list diverged (batched_row_nb, i={})", i);
+                prop_assert_eq!(&nb[0], &want_nb, "neighbour list diverged (batched_block, one i={})", i);
             }
             for (label, got) in rows {
                 for c in 0..3 {
