@@ -94,12 +94,7 @@ impl Checkpoint {
                 None
             },
             integrator: IntegratorState::decode(d, version)?,
-            net: {
-                let len = d.size()?;
-                (0..len)
-                    .map(|_| NetEndpointState::decode(d))
-                    .collect::<Result<_, _>>()?
-            },
+            net: d.seq_with(NetEndpointState::BYTES, NetEndpointState::decode)?,
             trace: TraceState::decode(d)?,
         })
     }
@@ -182,16 +177,10 @@ impl EngineState {
             time: d.u64()?,
             pass: d.u64()?,
             hw_passes: d.u64()?,
-            pending_deaths: {
-                let len = d.size()?;
-                (0..len)
-                    .map(|_| Ok((d.seq_size()?, d.u64()?)))
-                    .collect::<Result<_, WireError>>()?
-            },
-            masked: {
-                let len = d.size()?;
-                (0..len).map(|_| d.seq_size()).collect::<Result<_, _>>()?
-            },
+            // A death is at least its path's length prefix and its step;
+            // a masked path at least its length prefix.
+            pending_deaths: d.seq_with(16, |d| Ok((d.seq_size()?, d.u64()?)))?,
+            masked: d.seq_with(8, Dec::seq_size)?,
             counters: FaultCounterState::decode(d)?,
             vt: d.u64()?,
         })
@@ -441,6 +430,9 @@ pub struct NetEndpointState {
 }
 
 impl NetEndpointState {
+    /// Encoded size: eleven 8-byte fields.
+    const BYTES: usize = 88;
+
     fn encode(&self, e: &mut Enc) {
         e.size(self.rank);
         e.u64(self.clock);
@@ -534,6 +526,13 @@ mod tests {
         assert!(st.is_consistent());
         st.dt.pop();
         assert!(!st.is_consistent());
+    }
+
+    #[test]
+    fn net_endpoint_state_is_its_declared_size() {
+        let mut e = Enc::new();
+        NetEndpointState::default().encode(&mut e);
+        assert_eq!(e.into_bytes().len(), NetEndpointState::BYTES);
     }
 
     #[test]

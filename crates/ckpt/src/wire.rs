@@ -37,6 +37,10 @@ impl std::fmt::Display for WireError {
 }
 
 /// Append-only encoder.
+///
+/// Cost rule: a caller that knows its encoded length starts from
+/// [`Enc::with_capacity`], and the whole encoding is one allocation;
+/// the sequence writers reserve their byte count up front either way.
 #[derive(Default)]
 pub struct Enc {
     buf: Vec<u8>,
@@ -46,6 +50,13 @@ impl Enc {
     /// Fresh empty encoder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh encoder with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Finish and take the bytes.
@@ -73,14 +84,21 @@ impl Enc {
         self.buf.push(v as u8);
     }
 
+    /// Append a length-prefixed byte string.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.reserve(8 + b.len());
+        self.size(b.len());
+        self.buf.extend_from_slice(b);
+    }
+
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.size(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
     /// Append a length-prefixed `u64` sequence.
     pub fn seq_u64(&mut self, v: &[u64]) {
+        self.buf.reserve(8 + 8 * v.len());
         self.size(v.len());
         for &x in v {
             self.u64(x);
@@ -89,6 +107,7 @@ impl Enc {
 
     /// Append a length-prefixed `[u64; 3]` sequence.
     pub fn seq_u64x3(&mut self, v: &[[u64; 3]]) {
+        self.buf.reserve(8 + 24 * v.len());
         self.size(v.len());
         for x in v {
             self.u64(x[0]);
@@ -99,6 +118,7 @@ impl Enc {
 
     /// Append a length-prefixed `usize` sequence.
     pub fn seq_size(&mut self, v: &[usize]) {
+        self.buf.reserve(8 + 8 * v.len());
         self.size(v.len());
         for &x in v {
             self.size(x);
@@ -107,30 +127,41 @@ impl Enc {
 }
 
 /// Cursor-based decoder over a digest-checked payload.
+///
+/// Cost rule: a sequence is read as one checked span of the payload into
+/// one exact-size allocation, never grown element by element.
 pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// Bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> Dec<'a> {
     /// Decode from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { rest: buf }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Oversize)?;
-        if end > self.buf.len() {
-            return Err(WireError::Eof);
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
+        let (out, rest) = self.rest.split_at_checked(n).ok_or(WireError::Eof)?;
+        self.rest = rest;
         Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (out, rest) = self.rest.split_first_chunk().ok_or(WireError::Eof)?;
+        self.rest = rest;
+        Ok(*out)
+    }
+
+    /// The next `n` little-endian words, as one span.
+    fn words(&mut self, n: usize) -> Result<&'a [[u8; 8]], WireError> {
+        let bytes = n.checked_mul(8).ok_or(WireError::Oversize)?;
+        Ok(self.take(bytes)?.as_chunks().0)
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Require full consumption (call after the top-level value).
@@ -144,12 +175,12 @@ impl<'a> Dec<'a> {
 
     /// Read a `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read a `usize` stored as `u64`.
@@ -158,8 +189,8 @@ impl<'a> Dec<'a> {
     }
 
     /// Read a sequence length and check the remaining payload can hold it
-    /// at `elem_bytes` per element, so a bad prefix can never trigger a
-    /// huge allocation.
+    /// at (at least) `elem_bytes` per element, so a bad prefix can never
+    /// trigger a huge allocation.
     fn seq_len(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
         let len = self.size()?;
         if len.checked_mul(elem_bytes).ok_or(WireError::Oversize)? > self.remaining() {
@@ -168,11 +199,26 @@ impl<'a> Dec<'a> {
         Ok(len)
     }
 
+    /// Read a length-prefixed sequence of values `elem` decodes, each at
+    /// least `min_bytes` on the wire, into one exact-size allocation.
+    pub fn seq_with<T>(
+        &mut self,
+        min_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let len = self.seq_len(min_bytes)?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
     /// Read a bool byte.
     pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.take(1)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
+        match self.array()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
             _ => Err(WireError::Bool),
         }
     }
@@ -188,21 +234,25 @@ impl<'a> Dec<'a> {
     /// Read a length-prefixed `u64` sequence.
     pub fn seq_u64(&mut self) -> Result<Vec<u64>, WireError> {
         let len = self.seq_len(8)?;
-        (0..len).map(|_| self.u64()).collect()
+        let words = self.words(len)?;
+        Ok(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
     }
 
     /// Read a length-prefixed `[u64; 3]` sequence.
     pub fn seq_u64x3(&mut self) -> Result<Vec<[u64; 3]>, WireError> {
         let len = self.seq_len(24)?;
-        (0..len)
-            .map(|_| Ok([self.u64()?, self.u64()?, self.u64()?]))
-            .collect()
+        let (triples, _) = self.words(3 * len)?.as_chunks::<3>();
+        Ok(triples.iter().map(|t| t.map(u64::from_le_bytes)).collect())
     }
 
     /// Read a length-prefixed `usize` sequence.
     pub fn seq_size(&mut self) -> Result<Vec<usize>, WireError> {
         let len = self.seq_len(8)?;
-        (0..len).map(|_| self.size()).collect()
+        let mut out = Vec::with_capacity(len);
+        for &w in self.words(len)? {
+            out.push(usize::try_from(u64::from_le_bytes(w)).map_err(|_| WireError::Oversize)?);
+        }
+        Ok(out)
     }
 }
 
@@ -262,6 +312,14 @@ mod tests {
             WireError::Oversize
         );
         assert_eq!(Dec::new(&bytes).str().unwrap_err(), WireError::Oversize);
+        assert_eq!(
+            Dec::new(&bytes).seq_size().unwrap_err(),
+            WireError::Oversize
+        );
+        assert_eq!(
+            Dec::new(&bytes).seq_with(16, Dec::u64).unwrap_err(),
+            WireError::Oversize
+        );
     }
 
     #[test]

@@ -3,11 +3,6 @@
 //! the model is used to extrapolate, so its structure matters more than
 //! any single value.
 
-// The offline `proptest` stub type-checks but swallows the `proptest!`
-// body, so in that environment rustc sees the imports and strategy
-// helpers below as unused.
-#![allow(unused_imports, dead_code)]
-
 use grape6_model::blockstats::BlockStatsModel;
 use grape6_model::perf::{MachineLayout, PerfModel};
 use proptest::prelude::*;

@@ -39,12 +39,10 @@
 //!
 //! `t_min` folds through `f64::min` — associative and commutative over
 //! the totally-ordered non-NaN floats, so any fold order yields the same
-//! bits.  J-records merge into a map keyed by particle index; each
+//! bits.  J-records merge by particle index, one per index; each
 //! particle is updated by exactly one owner per step, so duplicates
 //! (possible under the dissemination fallback, which re-forwards) are
 //! bitwise-identical copies and the merged set is order-independent.
-
-use std::collections::BTreeMap;
 
 use grape6_trace::BarrierAlgo;
 
@@ -91,7 +89,9 @@ pub struct Wave {
     t_min: f64,
     /// This rank's last-captured checkpoint epoch, folded via min.
     ckpt: u64,
-    acc: BTreeMap<u64, JRecord>,
+    /// Records accumulated so far, ascending by particle index, one per
+    /// index.
+    acc: Vec<JRecord>,
     /// Heartbeat observations skipped over while waiting for stage
     /// frames: `(peer, epoch)` pairs for the liveness monitor.
     beats: Vec<(usize, u64)>,
@@ -132,7 +132,8 @@ impl Wave {
         } else {
             0
         };
-        let acc = records.into_iter().map(|r| (r.index, r)).collect();
+        let mut acc = Vec::new();
+        fold_records(&mut acc, records);
         Self {
             rank,
             p,
@@ -200,6 +201,9 @@ impl Wave {
     /// coalesced into one message) without waiting for the partner's.
     /// `pad` is the synthetic extra wire volume the virtual link charges
     /// for this stage (models j-payload size without allocating it).
+    ///
+    /// The accumulated records move into the frame and back, sent or not:
+    /// a stage copies no record.
     pub fn post_stage<T: Transport>(&mut self, tr: &mut T, pad: u64) -> Result<(), TransportError> {
         assert!(self.pending_from.is_none(), "stage already posted");
         assert!(self.done < self.n_stages, "wave already complete");
@@ -210,13 +214,17 @@ impl Wave {
             stage: self.done,
             t_min: self.t_min,
             ckpt: self.ckpt,
-            records: self.acc.values().cloned().collect(),
+            records: std::mem::take(&mut self.acc),
             pad,
         };
         self.messages += 1;
         self.records += frame.logical_records();
         self.bytes += frame.wire_len() as u64;
-        tr.send_frame(to, &frame)?;
+        let sent = tr.send_frame(to, &frame);
+        if let Frame::Stage { records, .. } = frame {
+            self.acc = records;
+        }
+        sent?;
         self.pending_from = Some(from);
         Ok(())
     }
@@ -277,9 +285,7 @@ impl Wave {
             }
             self.t_min = self.t_min.min(t_min);
             self.ckpt = self.ckpt.min(ckpt);
-            for r in records {
-                self.acc.insert(r.index, r);
-            }
+            fold_records(&mut self.acc, records);
             self.pending_from = None;
             self.done += 1;
             return Ok(());
@@ -311,12 +317,42 @@ impl Wave {
             t_min: self.t_min,
             ckpt_min: self.ckpt,
             algo: self.algo,
-            merged: self.acc.into_values().collect(),
+            merged: self.acc,
             messages: self.messages,
             records: self.records,
             bytes: self.bytes,
         }
     }
+}
+
+/// Fold `incoming` into `acc` (ascending, one record per index), as
+/// inserting each into a map keyed by index would: on a shared index the
+/// incoming record wins, and the later of two incoming ones.  A peer's
+/// stage frame arrives ascending, so this is one linear merge into one
+/// allocation.
+fn fold_records(acc: &mut Vec<JRecord>, mut incoming: Vec<JRecord>) {
+    if incoming.is_empty() {
+        return;
+    }
+    if !incoming.is_sorted_by_key(|r| r.index) {
+        // Stable: equal indices keep their arrival order.
+        incoming.sort_by_key(|r| r.index);
+    }
+    let mut out = Vec::with_capacity(acc.len() + incoming.len());
+    let mut mine = std::mem::take(acc).into_iter().peekable();
+    for r in incoming {
+        while let Some(m) = mine.next_if(|m| m.index < r.index) {
+            out.push(m);
+        }
+        // Our copy of this index, if any, gives way to the incoming one.
+        mine.next_if(|m| m.index == r.index);
+        match out.last_mut() {
+            Some(last) if last.index == r.index => *last = r,
+            _ => out.push(r),
+        }
+    }
+    out.extend(mine);
+    *acc = out;
 }
 
 /// The whole wave, sequentially: post + finish every stage back to back.
@@ -939,6 +975,107 @@ mod tests {
             c_central > 1.4 * c_butterfly,
             "central {c_central} vs butterfly {c_butterfly}"
         );
+    }
+
+    /// A two-rank transport whose sends keep a copy of each frame, or
+    /// fail without sending anything.
+    struct Sink {
+        sent: Vec<Frame>,
+        fail: bool,
+    }
+
+    impl Transport for Sink {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn n_ranks(&self) -> usize {
+            2
+        }
+        fn send_frame(&mut self, _to: usize, frame: &Frame) -> Result<(), TransportError> {
+            if self.fail {
+                return Err(TransportError::Protocol("send refused"));
+            }
+            self.sent.push(frame.clone());
+            Ok(())
+        }
+        fn recv_frame(&mut self, _from: usize) -> Result<Frame, TransportError> {
+            Err(TransportError::Protocol("nothing to receive"))
+        }
+    }
+
+    #[test]
+    fn post_stage_moves_the_records_into_the_frame_and_back() {
+        let records: Vec<JRecord> = [9u64, 2, 5].map(|i| rec(i, i as f64)).into();
+        let mut sorted = records.clone();
+        sorted.sort_by_key(|r| r.index);
+        let frame = Frame::Stage {
+            gen: 0,
+            step: 3,
+            stage: 0,
+            t_min: 0.25,
+            ckpt: 0,
+            records: sorted.clone(),
+            pad: 100,
+        };
+        let counters = (1, frame.logical_records(), frame.wire_len() as u64);
+        for fail in [false, true] {
+            let mut tr = Sink {
+                sent: Vec::new(),
+                fail,
+            };
+            let mut w = Wave::new(0, 2, 3, 0.25, records.clone());
+            let sent = w.post_stage(&mut tr, 100);
+            // The records are back before the result is seen, and the
+            // counters read what a cloned frame would have left.
+            assert_eq!(w.acc, sorted, "fail={fail}");
+            assert_eq!((w.messages, w.records, w.bytes), counters, "fail={fail}");
+            if fail {
+                assert!(matches!(
+                    sent,
+                    Err(TransportError::Protocol("send refused"))
+                ));
+                assert_eq!(w.pending_partner(), None);
+                assert!(tr.sent.is_empty());
+            } else {
+                assert!(sent.is_ok());
+                assert_eq!(w.pending_partner(), Some(1));
+                assert_eq!(tr.sent, vec![frame.clone()]);
+            }
+        }
+    }
+
+    #[test]
+    fn folding_records_is_a_map_insert_by_index() {
+        use std::collections::BTreeMap;
+        let cases: [(&[u64], &[u64]); 6] = [
+            (&[], &[3, 1, 2]),
+            (&[1, 4, 7], &[]),
+            (&[1, 4, 7], &[0, 4, 8]),
+            (&[1, 4, 7], &[9, 4, 0, 4]),
+            (&[2, 3], &[0, 1]),
+            (&[0, 1], &[2, 3, 3]),
+        ];
+        for (mine, theirs) in cases {
+            // The word tells the copies of one index apart.
+            let mine: Vec<JRecord> = mine.iter().map(|&i| rec(i, 0.5)).collect();
+            let theirs: Vec<JRecord> = theirs
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| rec(i, k as f64))
+                .collect();
+            let mut map: BTreeMap<u64, JRecord> =
+                mine.iter().map(|r| (r.index, r.clone())).collect();
+            for r in &theirs {
+                map.insert(r.index, r.clone());
+            }
+            let mut acc = mine.clone();
+            fold_records(&mut acc, theirs.clone());
+            assert_eq!(
+                acc,
+                map.into_values().collect::<Vec<_>>(),
+                "{mine:?} + {theirs:?}"
+            );
+        }
     }
 
     /// A transport that logs the peer of every frame it moves, so two

@@ -1083,11 +1083,8 @@ fn connect_with_retry(
 
 /// The 24-byte hello a connector opens with: rank, nonce, generation.
 fn send_hello(stream: &mut Stream, rank: usize, nonce: u64, gen: u32) -> std::io::Result<()> {
-    let mut hello = [0u8; 24];
-    hello[..8].copy_from_slice(&(rank as u64).to_le_bytes());
-    hello[8..16].copy_from_slice(&nonce.to_le_bytes());
-    hello[16..24].copy_from_slice(&(gen as u64).to_le_bytes());
-    stream.writer().write_all(&hello)
+    let hello = [rank as u64, nonce, u64::from(gen)].map(u64::to_le_bytes);
+    stream.writer().write_all(hello.as_flattened())
 }
 
 /// Accept one connection whose hello passes the nonce check and the
@@ -1107,12 +1104,13 @@ fn accept_one(
                 stream
                     .set_read_timeout(Some(left.max(Duration::from_millis(1))))
                     .map_err(io)?;
-                let mut hello = [0u8; 24];
-                stream.reader().read_exact(&mut hello).map_err(io)?;
-                let peer = u64::from_le_bytes(hello[..8].try_into().expect("8 bytes")) as usize;
-                let nonce = u64::from_le_bytes(hello[8..16].try_into().expect("8 bytes"));
-                let peer_gen =
-                    u64::from_le_bytes(hello[16..24].try_into().expect("8 bytes")) as u32;
+                let mut hello = [[0u8; 8]; 3];
+                stream
+                    .reader()
+                    .read_exact(hello.as_flattened_mut())
+                    .map_err(io)?;
+                let [peer, nonce, peer_gen] = hello.map(u64::from_le_bytes);
+                let (peer, peer_gen) = (peer as usize, peer_gen as u32);
                 if nonce != cfg.nonce {
                     return Err(TransportError::RendezvousMismatch {
                         expected: cfg.nonce,
@@ -1154,10 +1152,11 @@ impl Transport for StreamTransport {
             // Departed peer: tolerated, like Endpoint::send_lossy.
             return Ok(());
         };
-        let bytes = frame.encode();
-        match p.send_payload(&bytes) {
+        let bytes = frame.encode_framed();
+        match p.send_raw(&bytes) {
             Ok(()) => {
-                self.bytes_sent += bytes.len() as u64;
+                // The frame's bytes, not its length prefix.
+                self.bytes_sent += frame.encoded_len() as u64;
                 self.messages_sent += 1;
                 Ok(())
             }

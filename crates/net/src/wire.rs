@@ -38,7 +38,7 @@ impl JRecord {
     /// A record sequence as a [`Frame::Data`] payload, in the layout a
     /// [`Frame::Stage`] carries its records.
     pub fn encode_seq(records: &[JRecord]) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(8 + records_len(records));
         put_records(&mut e, records);
         e.into_bytes()
     }
@@ -52,6 +52,11 @@ impl JRecord {
     }
 }
 
+/// Encoded bytes of `records`, without the count.
+fn records_len(records: &[JRecord]) -> usize {
+    records.iter().map(JRecord::encoded_len).sum()
+}
+
 /// The one record layout: the count, then each record's index and its
 /// length-prefixed words.
 fn put_records(e: &mut Enc, records: &[JRecord]) {
@@ -62,21 +67,16 @@ fn put_records(e: &mut Enc, records: &[JRecord]) {
     }
 }
 
-/// Read a sequence [`put_records`] wrote.
+/// Read a sequence [`put_records`] wrote: one allocation for the
+/// sequence and one per record's words.  Each record is ≥ 16 bytes on
+/// the wire, which bounds the count before anything is allocated.
 fn take_records(d: &mut Dec) -> Result<Vec<JRecord>, WireError> {
-    let n = d.size()?;
-    // Each record is ≥ 16 bytes on the wire; reject a length prefix the
-    // remaining payload cannot possibly hold.
-    if n.checked_mul(16).ok_or(WireError::Oversize)? > d.remaining() {
-        return Err(WireError::Oversize);
-    }
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let index = d.u64()?;
-        let words = d.seq_u64()?;
-        records.push(JRecord { index, words });
-    }
-    Ok(records)
+    d.seq_with(16, |d| {
+        Ok(JRecord {
+            index: d.u64()?,
+            words: d.seq_u64()?,
+        })
+    })
 }
 
 /// A wire message.
@@ -173,14 +173,7 @@ impl Frame {
             Frame::Stage { records, .. } => {
                 // tag + gen + step + stage + t_min + ckpt + pad
                 // + record count + records
-                4 + 4
-                    + 8
-                    + 4
-                    + 8
-                    + 8
-                    + 8
-                    + 8
-                    + records.iter().map(JRecord::encoded_len).sum::<usize>()
+                4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + records_len(records)
             }
             Frame::Data(b) => 4 + 8 + b.len(),
             Frame::Heartbeat { .. } => 4 + 4 + 8,
@@ -188,9 +181,26 @@ impl Frame {
         }
     }
 
-    /// Encode into the little-endian wire layout.
+    /// Encode into the little-endian wire layout, in one allocation
+    /// sized by [`Self::encoded_len`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(self.encoded_len());
+        self.put(&mut e);
+        e.into_bytes()
+    }
+
+    /// The encoding behind its u64-LE length prefix — the bytes
+    /// [`framed`](crate::transport::framed)`(&self.encode())` would give,
+    /// in one allocation instead of two.
+    pub(crate) fn encode_framed(&self) -> Vec<u8> {
+        let len = self.encoded_len();
+        let mut e = Enc::with_capacity(8 + len);
+        e.size(len);
+        self.put(&mut e);
+        e.into_bytes()
+    }
+
+    fn put(&self, e: &mut Enc) {
         match self {
             Frame::Stage {
                 gen,
@@ -208,14 +218,11 @@ impl Frame {
                 e.u64(t_min.to_bits());
                 e.u64(*ckpt);
                 e.u64(*pad);
-                put_records(&mut e, records);
+                put_records(e, records);
             }
             Frame::Data(b) => {
                 e.u32(TAG_DATA);
-                e.size(b.len());
-                let mut bytes = e.into_bytes();
-                bytes.extend_from_slice(b);
-                return bytes;
+                e.bytes(b);
             }
             Frame::Heartbeat { gen, epoch } => {
                 e.u32(TAG_HEARTBEAT);
@@ -235,7 +242,6 @@ impl Frame {
                 e.u64(*ckpt);
             }
         }
-        e.into_bytes()
     }
 
     /// Decode a frame, requiring full consumption of `buf`.
@@ -331,6 +337,36 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(t_min.to_bits(), 0x7ff8_0000_0000_0001);
+    }
+
+    #[test]
+    fn framed_encoding_is_the_prefix_then_the_frame_bytes() {
+        for f in [
+            Frame::Stage {
+                gen: 1,
+                step: 2,
+                stage: 0,
+                t_min: 0.5,
+                ckpt: 3,
+                records: vec![JRecord {
+                    index: 4,
+                    words: vec![5, 6],
+                }],
+                pad: 7,
+            },
+            Frame::Data(vec![1, 2, 3]),
+            Frame::Heartbeat { gen: 8, epoch: 9 },
+            Frame::Recover {
+                gen: 1,
+                round: 0,
+                dead: vec![2],
+                ckpt: 4,
+            },
+        ] {
+            let bytes = f.encode();
+            assert_eq!(bytes.len(), f.encoded_len(), "{f:?}");
+            assert_eq!(f.encode_framed(), crate::transport::framed(&bytes), "{f:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,5 @@
 //! Property-based tests (proptest) on the core invariants.
 
-// The offline `proptest` stub type-checks but swallows the `proptest!`
-// body, so in that environment rustc sees the imports and strategy
-// helpers below as unused.
-#![allow(unused_imports, dead_code)]
-
 use grape6::arith::blockfp::BlockAccum;
 use grape6::arith::fixed::PosFix;
 use grape6::arith::pfloat::quantize_sig;

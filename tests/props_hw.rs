@@ -1,8 +1,4 @@
 //! Property-based tests of the hardware simulator layer.
-// The offline `proptest` stub type-checks but swallows the `proptest!`
-// body, so in that environment rustc sees the imports and strategy
-// helpers below as unused.
-#![allow(unused_imports, dead_code)]
 
 use grape6::chip::chip::{Chip, ChipConfig};
 use grape6::chip::kernel::KernelMode;

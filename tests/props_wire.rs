@@ -14,11 +14,6 @@
 //! The farm frames are also held to it one layer down, where the server
 //! meets them: through a real socket into the no-wait framed receive.
 
-// The offline `proptest` stub type-checks but swallows the `proptest!`
-// body, so in that environment rustc sees the imports and strategy
-// helpers below as unused.
-#![allow(unused_imports, dead_code)]
-
 use grape6::ckpt::{Blob, Checkpoint, CkptError};
 use grape6::core::checkpoint::{capture, integrator_state};
 use grape6::core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
