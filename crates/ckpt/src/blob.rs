@@ -3,20 +3,16 @@
 //! The full [`Checkpoint`](crate::Checkpoint) captures an integrator +
 //! engine pair; the cluster recovery layer also needs to persist *small,
 //! caller-defined* state (a rank's wave-chain state at a coordinated
-//! cut, a recovery manifest) with the same guarantees: versioned header,
-//! FNV-1a payload digest checked before parsing, atomic publication, and
-//! typed [`CkptError`]s instead of panics.  [`Blob`] is that container —
-//! the header carries a caller-chosen `kind` tag so a manifest can never
-//! be mistaken for a rank checkpoint.
+//! cut, a recovery manifest) with the same guarantees.  [`Blob`] puts it
+//! in the crate's one file container — versioned header, FNV-1a payload
+//! digest checked before parsing, atomic publication, typed
+//! [`CkptError`]s instead of panics — under the prefix
+//! `GRAPE6-BLOB <kind>`, so a manifest can never be mistaken for a rank
+//! checkpoint, nor either for a checkpoint image.
 
 use std::path::Path;
 
-use crate::digest::fnv1a64;
-use crate::CkptError;
-
-/// Magic string opening every blob header (distinct from the full
-/// checkpoint magic, so the two file families never cross-load).
-const BLOB_MAGIC: &str = "GRAPE6-BLOB";
+use crate::{open, save_atomic, seal, CkptError};
 
 /// A digest-guarded, kind-tagged byte payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +24,11 @@ pub struct Blob {
     pub version: u32,
     /// The payload bytes (typically a `wire::Enc` encoding).
     pub payload: Vec<u8>,
+}
+
+/// The container prefix of a blob of `kind`.
+fn prefix(kind: &str) -> String {
+    format!("GRAPE6-BLOB {kind}")
 }
 
 impl Blob {
@@ -48,80 +49,15 @@ impl Blob {
     /// Serialise: `GRAPE6-BLOB <kind> <version> <digest:016x> <len>\n`
     /// followed by the payload bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = format!(
-            "{BLOB_MAGIC} {} {} {:016x} {}\n",
-            self.kind,
-            self.version,
-            fnv1a64(&self.payload),
-            self.payload.len()
-        )
-        .into_bytes();
-        out.extend_from_slice(&self.payload);
-        out
+        seal(&prefix(&self.kind), self.version, &self.payload)
     }
 
-    /// Parse and validate. Order: magic, kind, version ceiling, declared
-    /// length, digest — the payload is never interpreted before its
-    /// integrity is established.
+    /// Parse and validate. Order: magic and kind, version ceiling,
+    /// declared length, digest — the payload is never interpreted before
+    /// its integrity is established.  Bytes after the declared payload
+    /// are ignored (a torn append cannot poison an otherwise-valid blob).
     pub fn from_bytes(bytes: &[u8], kind: &str, max_version: u32) -> Result<Self, CkptError> {
-        let bad = |m: String| CkptError::Format(m);
-        let nl = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| bad("blob: missing header line".into()))?;
-        let line = std::str::from_utf8(&bytes[..nl])
-            .map_err(|_| bad("blob: header line is not UTF-8".into()))?;
-        let mut parts = line.split_whitespace();
-        let magic = parts.next().unwrap_or_default();
-        if magic != BLOB_MAGIC {
-            return Err(bad(format!(
-                "blob: bad magic {magic:?} (expected {BLOB_MAGIC:?})"
-            )));
-        }
-        let found_kind = parts
-            .next()
-            .ok_or_else(|| bad("blob: missing kind".into()))?;
-        if found_kind != kind {
-            return Err(bad(format!(
-                "blob: kind {found_kind:?} where {kind:?} was expected"
-            )));
-        }
-        let version = parts
-            .next()
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| bad("blob: missing or non-numeric version".into()))?;
-        if version > max_version {
-            return Err(CkptError::Version {
-                found: version,
-                supported: max_version,
-            });
-        }
-        let digest = parts
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| bad("blob: missing or non-hex digest".into()))?;
-        let payload_len = parts
-            .next()
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| bad("blob: missing or non-numeric length".into()))?;
-        if parts.next().is_some() {
-            return Err(bad("blob: trailing header fields".into()));
-        }
-        let payload = &bytes[nl + 1..];
-        if (payload.len() as u64) < payload_len {
-            return Err(CkptError::Truncated {
-                expected: payload_len,
-                got: payload.len() as u64,
-            });
-        }
-        let payload = &payload[..payload_len as usize];
-        let got = fnv1a64(payload);
-        if got != digest {
-            return Err(CkptError::BadDigest {
-                expected: digest,
-                got,
-            });
-        }
+        let (version, payload, _) = open(bytes, &prefix(kind), max_version)?;
         Ok(Self {
             kind: kind.to_string(),
             version,
@@ -129,25 +65,16 @@ impl Blob {
         })
     }
 
-    /// Write atomically: the bytes land under a temporary name in the
-    /// same directory and are renamed into place, so a reader polling for
-    /// `path` (a respawned rank looking for its checkpoint or a recovery
-    /// manifest) can never observe a half-written file.
+    /// Write atomically (temporary file, then rename), so a reader
+    /// polling for `path` (a respawned rank looking for its checkpoint or
+    /// a recovery manifest) can never observe a half-written file.
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
-        let dir = path.parent().unwrap_or_else(|| Path::new("."));
-        let base = path
-            .file_name()
-            .ok_or_else(|| CkptError::Format("blob: path has no file name".into()))?;
-        let tmp = dir.join(format!(".{}.tmp", base.to_string_lossy()));
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        save_atomic(path, &self.to_bytes())
     }
 
     /// Read and validate a blob of the given kind from disk.
     pub fn load(path: &Path, kind: &str, max_version: u32) -> Result<Self, CkptError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes, kind, max_version)
+        Self::from_bytes(&std::fs::read(path)?, kind, max_version)
     }
 }
 

@@ -18,14 +18,17 @@
 //! * [`wire`] — a hand-rolled little-endian binary encoding (four
 //!   primitives: `u32`, `u64`, bool, length-prefixed bytes).  No decimal
 //!   representation anywhere, no serialisation framework;
-//! * [`Checkpoint::save`]/[`Checkpoint::load`] — a two-part on-disk
-//!   format: a one-line ASCII header carrying the format version, an
-//!   FNV-1a digest and the payload length, followed by the binary
-//!   payload.  Truncation, corruption and future versions are all
+//! * one file container for both kinds of file — the [`Checkpoint`] image
+//!   and the caller-defined [`Blob`]: a one-line ASCII header
+//!   `<prefix> <version> <digest:016x> <len>` (prefix `GRAPE6-CKPT` for a
+//!   checkpoint, `GRAPE6-BLOB <kind>` for a blob) carrying the format
+//!   version, an FNV-1a digest and the payload length, followed by the
+//!   binary payload.  Truncation, corruption and future versions are all
 //!   detected *before* the payload is parsed and surface as typed
 //!   [`CkptError`]s — never a panic, because a supervisor's recovery
 //!   ladder has to be able to step past a bad checkpoint file to an
-//!   older one.
+//!   older one.  Both `save`s write a temporary file and rename it into
+//!   place, so no reader ever sees a torn file under the real name.
 //!
 //! Conversions between live state and this model live with the live state
 //! (`grape6_core::checkpoint`), keeping this crate dependency-free.
@@ -35,8 +38,7 @@ pub mod digest;
 pub mod state;
 pub mod wire;
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::ffi::OsString;
 use std::path::Path;
 
 pub use blob::Blob;
@@ -53,53 +55,98 @@ pub use state::{
 /// counter decodes as 0) — only versions *newer* than this are rejected.
 pub const CKPT_VERSION: u32 = 2;
 
-/// Magic string opening every checkpoint header.
+/// Header prefix of every checkpoint image.
 const MAGIC: &str = "GRAPE6-CKPT";
 
-/// Header line preceding the payload:
-/// `GRAPE6-CKPT <version> <digest:016x> <payload_len>`.
-#[derive(Debug)]
-struct Header {
-    magic: String,
-    version: u32,
-    digest: u64,
-    payload_len: u64,
+/// Seal `payload` in the container: the header line
+/// `<prefix> <version> <digest:016x> <len>\n`, then the payload.
+fn seal(prefix: &str, version: u32, payload: &[u8]) -> Vec<u8> {
+    let line = format!(
+        "{prefix} {version} {:016x} {}\n",
+        fnv1a64(payload),
+        payload.len()
+    );
+    let mut out = Vec::with_capacity(line.len() + payload.len());
+    out.extend_from_slice(line.as_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
-impl Header {
-    fn to_line(&self) -> String {
-        format!(
-            "{} {} {:016x} {}",
-            self.magic, self.version, self.digest, self.payload_len
-        )
+/// Open what [`seal`] wrote.  Checks, in order: the prefix, the version
+/// against `max_version` (before the digest is even parsed: a future
+/// format may change the digest scheme), the declared length, the digest
+/// — the payload is never handed out before its integrity is
+/// established.  Returns the version, the payload and whatever bytes
+/// follow it, all borrowed.
+fn open<'a>(
+    bytes: &'a [u8],
+    prefix: &str,
+    max_version: u32,
+) -> Result<(u32, &'a [u8], &'a [u8]), CkptError> {
+    let bad = |m: &str| CkptError::Format(format!("bad header: {m}"));
+    let nl = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| bad("missing header line"))?;
+    let line = std::str::from_utf8(&bytes[..nl]).map_err(|_| bad("line is not UTF-8"))?;
+    let mut fields = line.split_whitespace();
+    if !prefix.split(' ').all(|p| fields.next() == Some(p)) {
+        return Err(bad(&format!("{line:?} does not open with {prefix:?}")));
     }
+    let version = fields
+        .next()
+        .and_then(|s| s.parse::<u32>().ok())
+        .ok_or_else(|| bad("missing or non-numeric version"))?;
+    if version > max_version {
+        return Err(CkptError::Version {
+            found: version,
+            supported: max_version,
+        });
+    }
+    let digest = fields
+        .next()
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| bad("missing or non-hex digest"))?;
+    let payload_len = fields
+        .next()
+        .and_then(|s| s.parse::<u64>().ok())
+        .ok_or_else(|| bad("missing or non-numeric payload length"))?;
+    if fields.next().is_some() {
+        return Err(bad("trailing fields"));
+    }
+    let body = &bytes[nl + 1..];
+    if (body.len() as u64) < payload_len {
+        return Err(CkptError::Truncated {
+            expected: payload_len,
+            got: body.len() as u64,
+        });
+    }
+    let (payload, rest) = body.split_at(payload_len as usize);
+    let got = fnv1a64(payload);
+    if got != digest {
+        return Err(CkptError::BadDigest {
+            expected: digest,
+            got,
+        });
+    }
+    Ok((version, payload, rest))
+}
 
-    fn parse(line: &str) -> Result<Self, CkptError> {
-        let mut parts = line.split_whitespace();
-        let bad = |m: &str| CkptError::Format(format!("bad header: {m}"));
-        let magic = parts.next().ok_or_else(|| bad("empty line"))?.to_string();
-        let version = parts
-            .next()
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| bad("missing or non-numeric version"))?;
-        let digest = parts
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| bad("missing or non-hex digest"))?;
-        let payload_len = parts
-            .next()
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| bad("missing or non-numeric payload length"))?;
-        if parts.next().is_some() {
-            return Err(bad("trailing fields"));
-        }
-        Ok(Self {
-            magic,
-            version,
-            digest,
-            payload_len,
-        })
-    }
+/// Write `bytes` to `path` atomically: first to `.<name>.tmp` in the same
+/// directory, then renamed into place, so a reader polling for `path` (a
+/// respawned rank, a restarted process) never sees a half-written file.
+/// Every write error is returned.
+fn save_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+    let name = path
+        .file_name()
+        .ok_or_else(|| CkptError::Format(format!("{path:?} has no file name")))?;
+    let mut tmp = OsString::from(".");
+    tmp.push(name);
+    tmp.push(".tmp");
+    let tmp = path.with_file_name(tmp);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 /// Every way reading or writing a checkpoint can fail.  Typed, never a
@@ -111,7 +158,8 @@ pub enum CkptError {
     Io(std::io::Error),
     /// Header or payload did not parse.
     Format(String),
-    /// The file ends before the header's declared payload length.
+    /// The payload is shorter than the header declares (or, for a
+    /// checkpoint image, longer: bytes follow it).
     Truncated {
         /// Payload bytes the header promised.
         expected: u64,
@@ -171,56 +219,18 @@ impl Checkpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = wire::Enc::new();
         self.encode(&mut enc);
-        let payload = enc.into_bytes();
-        let header = Header {
-            magic: MAGIC.to_string(),
-            version: self.version,
-            digest: fnv1a64(&payload),
-            payload_len: payload.len() as u64,
-        };
-        let mut out = header.to_line().into_bytes();
-        out.push(b'\n');
-        out.extend_from_slice(&payload);
-        out
+        seal(MAGIC, self.version, &enc.into_bytes())
     }
 
-    /// Parse and validate the on-disk byte format.
-    ///
-    /// Validation order matters: version is checked first (a future
-    /// format may legitimately change the digest scheme), then length,
-    /// then digest, and only then is the payload parsed.
+    /// Parse and validate the on-disk byte format: the container first
+    /// (prefix, version, length, digest), then no bytes past the declared
+    /// payload, and only then is the payload parsed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        let nl = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| CkptError::Format("missing header line".into()))?;
-        let line = std::str::from_utf8(&bytes[..nl])
-            .map_err(|_| CkptError::Format("header line is not UTF-8".into()))?;
-        let header = Header::parse(line)?;
-        if header.magic != MAGIC {
-            return Err(CkptError::Format(format!(
-                "bad magic {:?} (expected {MAGIC:?})",
-                header.magic
-            )));
-        }
-        if header.version > CKPT_VERSION {
-            return Err(CkptError::Version {
-                found: header.version,
-                supported: CKPT_VERSION,
-            });
-        }
-        let payload = &bytes[nl + 1..];
-        if (payload.len() as u64) != header.payload_len {
+        let (_, payload, rest) = open(bytes, MAGIC, CKPT_VERSION)?;
+        if !rest.is_empty() {
             return Err(CkptError::Truncated {
-                expected: header.payload_len,
-                got: payload.len() as u64,
-            });
-        }
-        let got = fnv1a64(payload);
-        if got != header.digest {
-            return Err(CkptError::BadDigest {
-                expected: header.digest,
-                got,
+                expected: payload.len() as u64,
+                got: (payload.len() + rest.len()) as u64,
             });
         }
         let mut dec = wire::Dec::new(payload);
@@ -236,19 +246,14 @@ impl Checkpoint {
         Ok(ckpt)
     }
 
-    /// Write to a file (atomically enough for a single writer: the full
-    /// byte image is assembled in memory first).
+    /// Write to a file atomically (temporary file, then rename).
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(&self.to_bytes())?;
-        Ok(())
+        save_atomic(path, &self.to_bytes())
     }
 
     /// Read and validate a file.
     pub fn load(path: &Path) -> Result<Self, CkptError> {
-        let mut bytes = Vec::new();
-        BufReader::new(File::open(path)?).read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
+        Self::from_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -399,6 +404,34 @@ mod tests {
             Err(CkptError::Inconsistent(_)) => {}
             other => panic!("expected Inconsistent, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn header_lines_are_pinned_and_trailing_bytes_follow_each_container_rule() {
+        // The bytes both containers write, exactly: a checkpoint image...
+        let image = sample(2).to_bytes();
+        let line = b"GRAPE6-CKPT 2 01442c28e41eb4a6 646\n";
+        assert_eq!(&image[..line.len()], line);
+        assert_eq!(image.len(), line.len() + 646);
+        // ...and a blob (the digest is FNV-1a's reference value of "abc").
+        let blob = Blob::new("manifest", 3, b"abc".to_vec());
+        assert_eq!(
+            blob.to_bytes(),
+            b"GRAPE6-BLOB manifest 3 e71fa2190541574b 3\nabc"
+        );
+        // Bytes past the declared payload: a checkpoint image refuses
+        // them, a blob ignores them.
+        let mut long = image.clone();
+        long.push(0);
+        match Checkpoint::from_bytes(&long) {
+            Err(CkptError::Truncated { expected, got }) => {
+                assert_eq!((expected, got), (646, 647))
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        let mut long = blob.to_bytes();
+        long.extend_from_slice(b"junk");
+        assert_eq!(Blob::from_bytes(&long, "manifest", 3).unwrap(), blob);
     }
 
     #[test]

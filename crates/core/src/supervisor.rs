@@ -7,8 +7,10 @@
 //! integrator + GRAPE engine pair with that operational layer:
 //!
 //! * **checkpoint policy** — a [`Checkpoint`] is taken every N blocksteps
-//!   and/or every M virtual seconds, kept in memory (and saveable to disk
-//!   via [`Checkpoint::save`]);
+//!   and/or every M virtual seconds, kept in memory and — with
+//!   [`SupervisorConfig::save_path`] set — written through
+//!   [`Checkpoint::save`], the checkpoint crate's one atomic writer, as it
+//!   is taken (a write error is warned about, never fatal);
 //! * **death detection** — a typed engine error from a blockstep, or a
 //!   non-finite particle slipping past the engine's sanity screen;
 //! * **recovery ladder** — escalating responses, each charged to the
@@ -206,22 +208,17 @@ impl RunSupervisor {
         self.charge(Phase::Ckpt, self.cfg.timing.checkpoint_time(n));
         let ckpt = capture(&self.it, &self.cfg.label);
         if let Some(path) = &self.cfg.save_path {
-            // Write-then-rename so a process killed mid-write never
+            // The save is atomic, so a process killed mid-write never
             // leaves a torn file at the canonical name; persistence
             // failures degrade to in-memory checkpoints (warned, not
             // fatal — the run itself is still healthy).
-            let tmp = path.with_extension("tmp");
-            let moved = ckpt
-                .save(&tmp)
-                .and_then(|()| std::fs::rename(&tmp, path).map_err(Into::into));
-            if let Err(e) = moved {
+            if let Err(e) = ckpt.save(path) {
                 eprintln!("warning: could not persist checkpoint to {path:?}: {e}");
             }
         }
         self.last_ckpt_blockstep = ckpt.blockstep;
         self.last_ckpt_vt = self.it.engine().vt();
-        self.last_ckpt = Some(ckpt);
-        self.last_ckpt.as_ref().unwrap()
+        self.last_ckpt.insert(ckpt)
     }
 
     /// Take a checkpoint if the policy says one is due.
@@ -436,10 +433,12 @@ mod tests {
             sup.step().unwrap();
         }
         // The canonical file always holds the *latest* checkpoint, byte
-        // for byte, and no torn `.tmp` is left behind.
+        // for byte, and the save's temporary file (`.<name>.tmp` beside
+        // it) is not left behind.
         let loaded = Checkpoint::load(&path).expect("persisted checkpoint loads");
         assert_eq!(loaded.to_bytes(), sup.last_checkpoint().unwrap().to_bytes());
-        assert!(!path.with_extension("tmp").exists());
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert!(!path.with_file_name(format!(".{name}.tmp")).exists());
         // ...and it restores into a working integrator even after every
         // live object is gone — the killed-process path.
         drop(sup);

@@ -25,7 +25,6 @@
 //!   integrators;
 //! * [`diagnostics`] — energy / angular-momentum / virial bookkeeping used
 //!   to validate every engine against every other;
-//! * [`io`] — versioned snapshot files (the frontends' checkpoint layer);
 //! * [`fanout`] — the workspace's one data-parallel mechanism: persistent
 //!   worker threads, results collected in index order so no bit depends on
 //!   the schedule.
@@ -36,7 +35,6 @@ pub mod fanout;
 pub mod force;
 pub mod hermite;
 pub mod ic;
-pub mod io;
 pub mod particle;
 pub mod softening;
 pub mod units;

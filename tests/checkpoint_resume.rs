@@ -5,7 +5,9 @@
 //! velocities and block-FP force sums **byte for byte** for at least 100
 //! subsequent blocksteps — on a single host, and on a 2×2 multi-cluster
 //! layout (4 ranks under the copy algorithm, the way GRAPE-6 spans
-//! clusters in §4.3 of the paper).
+//! clusters in §4.3 of the paper).  A host run (no engine state) is
+//! persisted in the same image: it resumes warm bitwise, or restarts
+//! cold through a fresh integrator within the energy budget.
 //!
 //! This is the §3.4 reproducibility property turned into a recovery
 //! guarantee: because the block-FP force sums are order-independent, a
@@ -13,12 +15,17 @@
 //! produces the same bits as one that never stopped.
 
 use grape6_ckpt::{Checkpoint, TraceState, CKPT_VERSION};
-use grape6_core::checkpoint::{capture, integrator_state, particles_from_state, restore};
-use grape6_core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
+use grape6_core::checkpoint::{
+    capture, integrator_state, particles_from_state, restore, stats_from_state,
+};
+use grape6_core::{Grape6Engine, HermiteIntegrator, IntegratorConfig, RunStats};
 use grape6_parallel::{run_copy_parallel, run_copy_parallel_segment, CopyConfig, CopySegment};
 use grape6_system::machine::MachineConfig;
+use nbody_core::diagnostics::energy;
+use nbody_core::force::DirectEngine;
 use nbody_core::ic::plummer::plummer_model;
 use nbody_core::particle::ParticleSet;
+use nbody_core::softening::Softening;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,6 +65,35 @@ fn assert_bits_equal(a: &ParticleSet, b: &ParticleSet, what: &str) {
             "{what}: dt[{i}] differs"
         );
     }
+}
+
+/// The image of a run with no engine state to keep (host arithmetic, or
+/// the copy algorithm's rank-identical particles): particles, block time
+/// and statistics, pushed through the byte format and back.
+fn engineless_image(
+    set: &ParticleSet,
+    t: f64,
+    eps: f64,
+    stats: &RunStats,
+    label: &str,
+) -> Checkpoint {
+    let ckpt = Checkpoint {
+        version: CKPT_VERSION,
+        label: label.into(),
+        blockstep: stats.blocksteps,
+        engine: None,
+        integrator: integrator_state(set, t, eps, stats),
+        net: Vec::new(),
+        trace: TraceState::default(),
+    };
+    let bytes = ckpt.to_bytes();
+    let loaded = Checkpoint::from_bytes(&bytes).expect("round-trip");
+    assert_eq!(
+        loaded.to_bytes(),
+        bytes,
+        "wire encoding must be byte-for-byte stable"
+    );
+    loaded
 }
 
 #[test]
@@ -135,21 +171,13 @@ fn four_rank_cluster_resume_is_bitwise_for_100_blocksteps() {
     // carry it); checkpoints for engine-less parallel runs store it.
     let t_mid = first.set.t.iter().cloned().fold(0.0f64, f64::max);
     let eps = cfg.integ.softening.epsilon(n);
-    let ckpt = Checkpoint {
-        version: CKPT_VERSION,
-        label: "cluster resume acceptance".into(),
-        blockstep: first.stats.blocksteps,
-        engine: None,
-        integrator: integrator_state(&first.set, t_mid, eps, &first.stats),
-        net: Vec::new(),
-        trace: TraceState {
-            vt: 0f64.to_bits(),
-            active: false,
-        },
-    };
-    let bytes = ckpt.to_bytes();
-    let loaded = Checkpoint::from_bytes(&bytes).expect("round-trip");
-    assert_eq!(loaded.to_bytes(), bytes);
+    let loaded = engineless_image(
+        &first.set,
+        t_mid,
+        eps,
+        &first.stats,
+        "cluster resume acceptance",
+    );
 
     let restored_set = particles_from_state(&loaded.integrator);
     let second = run_copy_parallel_segment(
@@ -176,36 +204,40 @@ fn four_rank_cluster_resume_is_bitwise_for_100_blocksteps() {
 
     // And the whole stitched run still matches the serial driver bitwise
     // (transitively proving resume changed nothing).
-    let mut serial =
-        HermiteIntegrator::new(nbody_core::force::DirectEngine::new(n), set, cfg.integ);
+    let mut serial = HermiteIntegrator::new(DirectEngine::new(n), set, cfg.integ);
     serial.run_until(t_end);
     assert_bits_equal(serial.particles(), &second.set, "serial vs stitched");
 }
 
 #[test]
 fn snapshot_v2_resumes_a_host_run_bitwise() {
-    // The snapshot-format counterpart of the checkpoint tests: format v2
-    // carries the full Hermite derivative state (snap, crackle, pot), so
-    // a run restored from a *snapshot file* continues warm — bitwise
-    // identical on host arithmetic, with no cold-start re-initialisation.
-    use grape6::nbody::io::Snapshot;
+    // The image carries the full Hermite derivative state (snap, crackle,
+    // pot) even without an engine record, so a host run restored from it
+    // continues warm — bitwise identical on host arithmetic, with no
+    // cold-start re-initialisation.
     let n = 32;
     let icfg = IntegratorConfig::default();
     let set = plummer_model(n, &mut StdRng::seed_from_u64(41));
 
-    let mut gold = HermiteIntegrator::new(nbody_core::force::DirectEngine::new(n), set, icfg);
+    let mut gold = HermiteIntegrator::new(DirectEngine::new(n), set, icfg);
     for _ in 0..11 {
         gold.step();
     }
 
-    let snap = Snapshot::capture(gold.particles(), gold.time(), "v2 warm resume");
-    let parsed = Snapshot::from_json(&snap.to_json()).expect("snapshot round-trip");
+    let eps = icfg.softening.epsilon(n);
+    let image = engineless_image(
+        gold.particles(),
+        gold.time(),
+        eps,
+        gold.stats(),
+        "v2 warm resume",
+    );
     let mut resumed = HermiteIntegrator::resume(
-        nbody_core::force::DirectEngine::new(n),
-        parsed.restore(),
+        DirectEngine::new(n),
+        particles_from_state(&image.integrator),
         icfg,
-        parsed.time,
-        gold.stats().clone(),
+        f64::from_bits(image.integrator.t),
+        stats_from_state(&image.integrator.stats),
     );
 
     for step in 0..120 {
@@ -218,4 +250,32 @@ fn snapshot_v2_resumes_a_host_run_bitwise() {
             &format!("blockstep {step} after snapshot resume"),
         );
     }
+}
+
+#[test]
+fn snapshot_checkpoints_an_integration() {
+    // Run → image → cold restart → continue; energy stays conserved
+    // through the checkpoint boundary.
+    let n = 64;
+    let icfg = IntegratorConfig::default();
+    let set = plummer_model(n, &mut StdRng::seed_from_u64(601));
+    let eps2 = Softening::Constant.epsilon2(n);
+    let e0 = energy(&set, eps2);
+    let mut first = HermiteIntegrator::new(DirectEngine::new(n), set, icfg);
+    first.run_until(0.125);
+    let image = engineless_image(
+        &first.synchronized_snapshot(),
+        first.time(),
+        icfg.softening.epsilon(n),
+        first.stats(),
+        "checkpoint",
+    );
+    // Restore into a brand-new integrator (cold restart: derivatives are
+    // re-derived by initialisation).
+    let restored = particles_from_state(&image.integrator);
+    let mut second = HermiteIntegrator::new(DirectEngine::new(n), restored, icfg);
+    second.run_until(0.125);
+    let e1 = energy(&second.synchronized_snapshot(), eps2);
+    let err = ((e1.total() - e0.total()) / e0.total()).abs();
+    assert!(err < 1e-4, "energy across checkpoint boundary: {err:e}");
 }

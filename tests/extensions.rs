@@ -1,14 +1,12 @@
 //! Integration tests of the later-phase components: GRAPE-4, the 2-D
-//! hardware grid, the quadrupole treecode, snapshots and the Ahmad–Cohen
-//! scheme — all exercised through the workspace-level public API.
+//! hardware grid, the quadrupole treecode and the Ahmad–Cohen scheme —
+//! all exercised through the workspace-level public API.
 
 use grape6::core::neighbor::{AcConfig, AcHermiteIntegrator};
-use grape6::core::{HermiteIntegrator, IntegratorConfig};
 use grape6::g4::{Grape4Config, Grape4Engine};
 use grape6::nbody::diagnostics::energy;
-use grape6::nbody::force::{DirectEngine, ForceEngine, ForceResult, IParticle, JParticle};
+use grape6::nbody::force::{ForceEngine, ForceResult, IParticle, JParticle};
 use grape6::nbody::ic::plummer::plummer_model;
-use grape6::nbody::io::Snapshot;
 use grape6::nbody::softening::Softening;
 use grape6::tree::{tree_forces_ord, MultipoleOrder, Octree, TreeConfig};
 use rand::rngs::StdRng;
@@ -53,28 +51,6 @@ fn grape4_and_grape6_agree_physically_not_bitwise() {
         let rel = (f6[k].acc - f4[k].acc).norm() / f6[k].acc.norm();
         assert!(rel < 1e-4, "k={k}: generations disagree by {rel:e}");
     }
-}
-
-#[test]
-fn snapshot_checkpoints_an_integration() {
-    // Run → checkpoint → restore → continue; energy stays conserved
-    // through the checkpoint boundary.
-    let n = 64;
-    let set = plummer_model(n, &mut StdRng::seed_from_u64(601));
-    let eps2 = Softening::Constant.epsilon2(n);
-    let e0 = energy(&set, eps2);
-    let mut first = HermiteIntegrator::new(DirectEngine::new(n), set, IntegratorConfig::default());
-    first.run_until(0.125);
-    let snap = Snapshot::capture(&first.synchronized_snapshot(), first.time(), "checkpoint");
-    // Restore into a brand-new integrator (cold restart: derivatives are
-    // re-derived by initialisation).
-    let restored = snap.restore();
-    let mut second =
-        HermiteIntegrator::new(DirectEngine::new(n), restored, IntegratorConfig::default());
-    second.run_until(0.125);
-    let e1 = energy(&second.synchronized_snapshot(), eps2);
-    let err = ((e1.total() - e0.total()) / e0.total()).abs();
-    assert!(err < 1e-4, "energy across checkpoint boundary: {err:e}");
 }
 
 #[test]

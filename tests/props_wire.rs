@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on every byte decoder a peer, a client
 //! or a disk can feed: the farm frames, the cluster frames, the
-//! checkpoint image, the blob container the cluster's rank checkpoints
-//! and recovery manifests sit in, and the JSON snapshots (v1 and v2).
+//! checkpoint image, and the blob container the cluster's rank
+//! checkpoints and recovery manifests sit in (the checkpoint's one file
+//! container under a second prefix).
 //!
 //! All of them carry particle bits end to end, so each encoding must be a
 //! bitwise bijection on everything it accepts: decode(encode(x))
@@ -20,7 +21,6 @@ use grape6::core::{Grape6Engine, HermiteIntegrator, IntegratorConfig};
 use grape6::farm::{DenyReason, FarmFrame, RetryAfter, SessionPhase, SessionStatus, TenantSpec};
 use grape6::farm::{SessionId, TenantReport};
 use grape6::nbody::ic::plummer::plummer_model;
-use grape6::nbody::io::{Snapshot, SnapshotError};
 use grape6::nbody::particle::ParticleSet;
 use grape6::nbody::Vec3;
 use grape6::net::transport::{dial_service, framed, FrameIoError, FramedConn, ServiceListener};
@@ -211,28 +211,6 @@ fn checkpoint(bits: &[u64], label: &str) -> Checkpoint {
     ckpt
 }
 
-/// `Snapshot::load` reads its file into a string first.  Lossy here, so
-/// that junk reaches the parser instead of stopping at the UTF-8 check.
-fn snapshot_from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    Snapshot::from_json(&String::from_utf8_lossy(bytes))
-}
-
-/// The snapshot as a v1 writer left it: version 1 and no snap / crackle /
-/// pot tail.  (A `"` inside the comment is escaped, so `,"snap":` only
-/// ever matches the field.)
-fn v1_json(snap: &Snapshot) -> Vec<u8> {
-    let mut s = Snapshot {
-        version: 1,
-        ..snap.clone()
-    }
-    .to_json();
-    while let Some(a) = s.find(",\"snap\":") {
-        let b = a + s[a..].find(",\"t\":").expect("t follows the tail");
-        s.replace_range(a..b, "");
-    }
-    s.into_bytes()
-}
-
 proptest! {
     /// Submit and Result — the frames that carry physics — round-trip
     /// bitwise for arbitrary f64 bit patterns in every particle lane.
@@ -368,25 +346,8 @@ proptest! {
 }
 
 proptest! {
-    // Every bit of every image is flipped and every prefix of a snapshot
-    // is parsed from its first byte, so a handful of each do.
+    // Every bit of every image is flipped, so a handful of images do.
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The JSON snapshots, as written today (v2) and as a v1 writer left
-    /// them: same contract, arbitrary bit patterns in every f64 lane (the
-    /// non-finite ones travel as strings) and in the label.
-    #[test]
-    fn snapshots_v1_and_v2_are_total(
-        bits in prop::collection::vec(any::<u64>(), 6..9),
-        comment in ".{0,24}",
-        junk in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let snap = Snapshot::capture(&particles(&bits), f64::from_bits(bits[0]), &comment);
-        decoder_is_total(&snap.to_json().into_bytes(), &junk, snapshot_from_bytes, |s| {
-            s.to_json().into_bytes()
-        });
-        decoder_is_total(&v1_json(&snap), &junk, snapshot_from_bytes, v1_json);
-    }
 
     /// The checkpoint image: the decoder contract, and the digest.  A
     /// flipped payload bit is a `BadDigest`; a flipped header bit is
